@@ -103,8 +103,11 @@ class Derivatives:
     f_y : (m,)          first derivative of the objective in u
     f_yy : (m, m)       second derivative of the objective in u
     f_xy : (m, n)       mixed second derivative, d2 f / dx_j du_i
-    b_column : (x, y, i) -> (m,)   column i of f_xy, generated on demand
-                        (used by the streaming VJP so f_xy is never stored)
+    b_columns : (x, y, cols) -> (m, len(cols))   the columns f_xy[:, cols]
+                        for an integer index array cols, generated on
+                        demand.  The streaming VJP asks for blocks of
+                        max(1, n // m) consecutive columns, one call per
+                        block, so f_xy is never stored whole.
     h_y : (p, m)        constraint Jacobian in u
     h_x : (p, n)        constraint Jacobian in x
     h_yy : (p, m, m)    per-constraint second derivatives in u
@@ -115,7 +118,7 @@ class Derivatives:
     f_y: Optional[Callable] = None
     f_yy: Optional[Callable] = None
     f_xy: Optional[Callable] = None
-    b_column: Optional[Callable] = None
+    b_columns: Optional[Callable] = None
     h_y: Optional[Callable] = None
     h_x: Optional[Callable] = None
     h_yy: Optional[Callable] = None
@@ -275,8 +278,10 @@ def validate_problem(problem, x=None, u=None):
             if fn is None:
                 continue
             _probe_shape(name, np.asarray(fn(x, u), dtype=float), want)
-        if d.b_column is not None:
-            _probe_shape("b_column", np.asarray(d.b_column(x, u, 0), dtype=float), (m,))
+        if d.b_columns is not None:
+            cols = np.arange(min(n, 2))
+            _probe_shape("b_columns", np.asarray(d.b_columns(x, u, cols), dtype=float),
+                         (m, cols.size))
     return ProblemDims(n=n, m=m, p=p, q=q)
 
 

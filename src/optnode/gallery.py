@@ -376,7 +376,7 @@ def wide_coupling_problem(output_dim, input_dim, seed):
         f(x, u) = 0.5 u'Qu - u'Wx
 
     so the mixed second derivative is the (m, n) block -W.  The problem
-    exposes per-column access to that block instead of a dense f_xy,
+    exposes column-block access to that block instead of a dense f_xy,
     which is what the streaming vector-Jacobian product consumes."""
     rng = np.random.default_rng(seed)
     m, n = output_dim, input_dim
@@ -387,7 +387,7 @@ def wide_coupling_problem(output_dim, input_dim, seed):
     derivs = Derivatives(
         f_y=lambda x, u: Q @ u - W @ x,
         f_yy=lambda x, u: Q,
-        b_column=lambda x, u, i: -W[:, i])
+        b_columns=lambda x, u, cols: -W[:, cols])
     problem = DeclarativeProblem(
         objective=lambda x, u: float(0.5 * u @ Q @ u - u @ (W @ x)),
         input_dim=n, output_dim=m, derivatives=derivs)

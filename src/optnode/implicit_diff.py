@@ -17,17 +17,22 @@ with H = D2_YY f - sum_i lambda_i D2_YY h~_i and B the mixed x/u analogue,
 A = D_Y h~, C = D_X h~ over the active stack h~.  Second derivatives come
 from analytic callbacks when the problem carries them and from numdiff
 otherwise.  vjp() evaluates v^T Dy(x) left-to-right, optionally streaming
-the columns of B so the full matrix is never stored.
+B in blocks of max(1, n // m) columns from the problem's b_columns callback,
+one callback and one product per block, so the full matrix is never stored.
+H is factored once per context (Cholesky, LU when that fails); its condition
+gate reads LAPACK's estimate on that factor rather than an SVD.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import numdiff
 from .core import (DimensionMismatch, Jacobian, RankDeficientConstraints,
@@ -50,26 +55,36 @@ GRADIENT_PATHS = ("unconstrained", "equality", "inequality", "feasibility",
 # ---------------------------------------------------------------------------
 
 class _Factor:
-    """Reusable solve handle for symmetric H: Cholesky when positive
-    definite, LU otherwise.  cond is an SVD condition estimate computed
-    up front so callers can gate before solving."""
+    """Solve handle for symmetric H, factored once on construction:
+    Cholesky when positive definite, LU otherwise.
+
+    cond is LAPACK's estimate of the 1-norm condition number, read off the
+    factor just computed (dpocon for Cholesky, dgecon for LU), so callers
+    can gate before solving without an SVD.  H with a non-finite entry is
+    not factored and gets cond = inf.
+    """
 
     def __init__(self, H):
         self.H = H
-        self.cond = float(np.linalg.cond(H))
         self._cho = None
         self._lu = None
-
-    def factor(self):
-        if self._cho is None and self._lu is None:
-            try:
-                self._cho = scipy.linalg.cho_factor(self.H, lower=True)
-            except scipy.linalg.LinAlgError:
-                self._lu = scipy.linalg.lu_factor(self.H)
-        return self
+        if not np.all(np.isfinite(H)):
+            self.cond = np.inf
+            return
+        anorm = float(np.linalg.norm(H, 1))
+        try:
+            self._cho = scipy.linalg.cho_factor(H, lower=True,
+                                                check_finite=False)
+            rcond, _ = lapack.dpocon(self._cho[0], anorm, uplo="L")
+        except scipy.linalg.LinAlgError:
+            with warnings.catch_warnings():
+                # an exactly singular pivot shows up as rcond = 0 below
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self._lu = scipy.linalg.lu_factor(H, check_finite=False)
+            rcond, _ = lapack.dgecon(self._lu[0], anorm, norm="1")
+        self.cond = 1.0 / rcond if rcond > 0.0 else np.inf
 
     def solve(self, rhs):
-        self.factor()
         if self._cho is not None:
             return scipy.linalg.cho_solve(self._cho, rhs)
         return scipy.linalg.lu_solve(self._lu, rhs)
@@ -79,8 +94,10 @@ class _PinvFactor:
     """Solve handle backed by the Moore-Penrose pseudo-inverse."""
 
     def __init__(self, H):
+        if not np.all(np.isfinite(H)):
+            raise SingularHessian(
+                f"cond(H) ~ inf (non-finite entries), H shape {H.shape}")
         self.H = H
-        self.cond = float(np.linalg.cond(H))
         self._pinv = np.linalg.pinv(H, rcond=SV_CUTOFF_RTOL)
 
     def solve(self, rhs):
@@ -203,6 +220,15 @@ def _rank_repair(A):
     return kept, dropped
 
 
+def _checked_multipliers(multipliers, want, rows):
+    """Caller-supplied multipliers as a float vector of length want."""
+    lam = np.asarray(multipliers, dtype=float).ravel()
+    if lam.size != want:
+        raise DimensionMismatch(
+            f"multipliers: expected length {want} ({rows}), got {lam.size}")
+    return lam
+
+
 def recover_multipliers(A, grad_f):
     """Analytic multipliers lambda = (A A^T)^-1 A (D_Y f)^T.
 
@@ -211,12 +237,11 @@ def recover_multipliers(A, grad_f):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     grad_f = np.asarray(grad_f, dtype=float).ravel()
-    M = A @ A.T
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    fm = _Factor(A @ A.T)
+    if not np.isfinite(fm.cond) or fm.cond > COND_LIMIT:
         raise RankDeficientConstraints(
-            f"cond(AA^T) ~ {cond:.3e} for A of shape {A.shape}")
-    return np.linalg.solve(M, A @ grad_f)
+            f"cond(AA^T) ~ {fm.cond:.3e} for A of shape {A.shape}")
+    return fm.solve(A @ grad_f)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +253,11 @@ class GradientContext:
     """Everything the backward pass needs at one (x, y).
 
     H is symmetrized on construction; A has no all-zero rows (rank repair
-    runs before the context is built).  B may be None when b_column
-    generates columns on demand (streaming).  h_factorization is an opaque
-    solve handle for H, reusable across columns and across VJPs.
+    runs before the context is built).  B may be None when b_columns
+    generates blocks of columns on demand (streaming): b_columns(cols)
+    returns B[:, cols], shape (m, len(cols)), for an integer index array
+    cols.  h_factorization is an opaque solve handle for H, reusable
+    across blocks and across VJPs.
     """
 
     H: np.ndarray                      # (m, m)
@@ -239,7 +266,7 @@ class GradientContext:
     C: np.ndarray                      # (k, n)
     h_factorization: object
     n: int
-    b_column: Optional[Callable] = None   # i -> (m,)
+    b_columns: Optional[Callable] = None   # cols -> (m, len(cols))
     one_sided: bool = False
     rank_deficient_fallback: bool = False
 
@@ -254,17 +281,23 @@ def _gate_hessian(H, constrained, problem_dims):
     return fr
 
 
-def _constrained_dy(fr, A, B, C):
-    """Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B."""
-    HiB = fr.solve(B)
-    HiAt = fr.solve(A.T)
+def _gate_schur(A, HiAt):
+    """Factor of the symmetric A H^-1 A^T, gated on its condition estimate."""
     M = A @ HiAt
-    condM = float(np.linalg.cond(M))
-    if not np.isfinite(condM) or condM > COND_LIMIT:
+    fm = _Factor(0.5 * (M + M.T))
+    if not np.isfinite(fm.cond) or fm.cond > COND_LIMIT:
         raise RankDeficientConstraints(
-            f"cond(A H^-1 A^T) ~ {condM:.3e}, A shape {A.shape}")
-    S = np.linalg.solve(M, A @ HiB - C)
-    return HiAt @ S - HiB
+            f"cond(A H^-1 A^T) ~ {fm.cond:.3e}, A shape {A.shape}")
+    return fm
+
+
+def _constrained_dy(fr, A, B, C, cnt=None):
+    """Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B."""
+    cnt = cnt if cnt is not None else _NullCounter()
+    HiB = cnt.adopt(fr.solve(B))
+    HiAt = cnt.adopt(fr.solve(A.T))
+    S = cnt.adopt(_gate_schur(A, HiAt).solve(A @ HiB - C))
+    return cnt.adopt(HiAt @ S - HiB)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +337,8 @@ def _equality_context(problem, x, y, multipliers=None):
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
     A_all, C_all = _constraint_first(problem, x, y, "h")
     p = A_all.shape[0]
+    if multipliers is not None:
+        multipliers = _checked_multipliers(multipliers, p, "p")
     if p == 0:
         # degenerate stack: lambda is empty and the formula collapses to
         # the unconstrained -H^-1 B
@@ -325,7 +360,7 @@ def _equality_context(problem, x, y, multipliers=None):
         lam = np.zeros(p)
         lam[kept] = lam_kept
     else:
-        lam = np.asarray(multipliers, dtype=float).ravel()[:p].copy()
+        lam = multipliers.copy()
         lam[dropped] = 0.0
 
     H_f, B_f = _objective_blocks(problem, x, y)
@@ -372,6 +407,8 @@ def gradient_inequality(problem, x, y, multipliers=None,
     A_h, C_h = _constraint_first(problem, x, y, "h")
     p = A_h.shape[0]
     A_g, C_g = _constraint_first(problem, x, y, "g")
+    if multipliers is not None:
+        multipliers = _checked_multipliers(multipliers, p + q, "p + q")
     act_idx = np.flatnonzero(active)
     A_all = np.vstack([A_h, A_g[act_idx]])
     C_all = np.vstack([C_h, C_g[act_idx]])
@@ -389,9 +426,8 @@ def gradient_inequality(problem, x, y, multipliers=None,
     if multipliers is None:
         lam[kept] = recover_multipliers(A_all[kept], _f_y(problem, x, y))
     else:
-        full = np.asarray(multipliers, dtype=float).ravel()  # (p + q,)
-        lam[:p] = full[:p]
-        lam[p:] = full[p:][act_idx]
+        lam[:p] = multipliers[:p]
+        lam[p:] = multipliers[p:][act_idx]
         lam[dropped] = 0.0
 
     # scenario handling for active inequalities with (near-)zero multiplier
@@ -519,8 +555,7 @@ def pseudo_inverse_descent(problem, x, y):
     """
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
     H, B = _objective_blocks(problem, x, y)
-    return Jacobian(-np.linalg.pinv(H, rcond=SV_CUTOFF_RTOL) @ B,
-                    rank_deficient_fallback=True)
+    return Jacobian(-_PinvFactor(H).solve(B), rank_deficient_fallback=True)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +569,9 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     path "auto" dispatches on the problem's constraint structure.  For the
     feasibility path the solved Jacobian is stored directly (H = I,
     B = -Dy), which keeps both vjp modes exact.  Streaming contexts (B
-    generated column-by-column) arise when the problem supplies a b_column
-    callback and the path is unconstrained.
+    generated in column blocks) arise when the problem supplies a
+    b_columns callback and the path is unconstrained.  A non-finite H
+    raises SingularHessian.
     """
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
     if path == "auto":
@@ -552,7 +588,7 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     if path == "unconstrained" or path == "pseudo_inverse":
         d = problem.derivatives
         stream = (path == "unconstrained" and d is not None
-                  and d.b_column is not None)
+                  and d.b_columns is not None)
         if stream:
             # never touch f_xy here: H alone, so no (m, n) block is formed
             if d.f_yy is not None:
@@ -566,7 +602,8 @@ def build_context(problem, x, y, multipliers=None, path="auto",
                         lambda uu: problem.objective(x, uu), u), y)
             H = 0.5 * (H + H.T)
             B = None
-            b_col = lambda i: np.asarray(d.b_column(x, y, i), dtype=float)
+            b_col = lambda cols: np.asarray(d.b_columns(x, y, cols),
+                                            dtype=float)
         else:
             H, B = _objective_blocks(problem, x, y)
             b_col = None
@@ -574,18 +611,18 @@ def build_context(problem, x, y, multipliers=None, path="auto",
             fr = _PinvFactor(H)
             return GradientContext(H=H, B=B, A=np.zeros((0, m)),
                                    C=np.zeros((0, n)), h_factorization=fr,
-                                   n=n, b_column=b_col,
+                                   n=n, b_columns=b_col,
                                    rank_deficient_fallback=True)
         fr = _Factor(H)
         if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
             fr = _PinvFactor(H)
             return GradientContext(H=H, B=B, A=np.zeros((0, m)),
                                    C=np.zeros((0, n)), h_factorization=fr,
-                                   n=n, b_column=b_col,
+                                   n=n, b_columns=b_col,
                                    rank_deficient_fallback=True)
         return GradientContext(H=H, B=B, A=np.zeros((0, m)),
                                C=np.zeros((0, n)), h_factorization=fr, n=n,
-                               b_column=b_col)
+                               b_columns=b_col)
 
     if path == "equality":
         ctx, _ = _equality_context(problem, x, y, multipliers)
@@ -619,17 +656,10 @@ def jacobian_from_context(context, counter=None):
     fr = context.h_factorization
     B = context.B
     if B is None:
-        m = context.H.shape[0]
-        B = cnt.adopt(np.empty((m, context.n)))
-        for i in range(context.n):
-            B[:, i] = context.b_column(i)
+        B = cnt.adopt(context.b_columns(np.arange(context.n)))
     if context.A.shape[0] == 0:
         return cnt.adopt(-fr.solve(B))
-    HiB = cnt.adopt(fr.solve(B))
-    HiAt = cnt.adopt(fr.solve(context.A.T))
-    M = context.A @ HiAt
-    S = cnt.adopt(np.linalg.solve(M, context.A @ HiB - context.C))
-    return cnt.adopt(HiAt @ S - HiB)
+    return _constrained_dy(fr, context.A, B, context.C, cnt)
 
 
 def vjp(v, context, mode="materialize", counter=None):
@@ -637,9 +667,11 @@ def vjp(v, context, mode="materialize", counter=None):
 
     mode "materialize" forms Dy and multiplies.  mode "stream_columns"
     computes the cached intermediate v~ = -H^-1 v (plus constraint
-    correction terms), then dots it against columns b_i of B generated on
-    demand, so full-matrix storage is never needed; both modes agree to
-    1e-12.  Pass an AllocationCounter to measure auxiliary storage.
+    correction terms) and returns v~^T B - s^T C.  On a streaming context
+    B is generated in blocks of max(1, n // m) columns, one b_columns
+    call and one product per block, so auxiliary storage stays O(m + n)
+    and the full matrix is never stored; both modes agree to 1e-12.  Pass
+    an AllocationCounter to measure auxiliary storage.
     """
     v = np.asarray(v, dtype=float).ravel()
     cnt = counter if counter is not None else _NullCounter()
@@ -654,23 +686,24 @@ def vjp(v, context, mode="materialize", counter=None):
     if k:
         w = cnt.adopt(fr.solve(v))
         HiAt = cnt.adopt(fr.solve(context.A.T))
-        M = context.A @ HiAt
-        s = cnt.adopt(np.linalg.solve(M, context.A @ w))
+        s = cnt.adopt(_gate_schur(context.A, HiAt).solve(context.A @ w))
         vt = cnt.adopt(fr.solve(context.A.T @ s - v))
     else:
         s = None
         vt = cnt.adopt(-fr.solve(v))
 
-    out = np.empty(context.n)   # the result itself, not auxiliary storage
-    use_col = context.b_column if context.B is None else None
-    for i in range(context.n):
-        if use_col is not None:
-            b_i = cnt.adopt(use_col(i))
-        else:
-            b_i = context.B[:, i]
-        out[i] = vt @ b_i
-        if s is not None:
-            out[i] -= s @ context.C[:, i]
-        if use_col is not None:
-            cnt.release(b_i)
+    if context.B is not None:
+        out = vt @ context.B
+    else:
+        n = context.n
+        out = np.empty(n)   # the result itself, not auxiliary storage
+        step = max(1, n // vt.size)
+        for start in range(0, n, step):
+            cols = cnt.adopt(np.arange(start, min(start + step, n)))
+            block = cnt.adopt(context.b_columns(cols))
+            out[start:start + cols.size] = vt @ block
+            cnt.release(block)
+            cnt.release(cols)
+    if s is not None:
+        out -= s @ context.C
     return out

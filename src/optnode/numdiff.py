@@ -120,26 +120,25 @@ def _first_y(problem, which):
 def fd_hessian_blocks(problem, x, y, config=FdConfig()):
     """Numeric H, B, and per-constraint second-derivative blocks at (x, y).
 
-    Central differences of first derivatives; the first derivatives are
-    analytic when the problem supplies them and finite differences of the
-    raw callbacks otherwise.  H-type blocks are symmetrized.  Analytic
-    *second* derivatives are never consulted here: this op is the oracle
-    for them.
+    Central differences of first derivatives, one pass per variable (y,
+    then x) over each whole first-derivative bundle; the first
+    derivatives are analytic when the problem supplies them and finite
+    differences of the raw callbacks otherwise.  H-type blocks are
+    symmetrized.  Analytic *second* derivatives are never consulted
+    here: this op is the oracle for them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = problem.input_dim, problem.output_dim
 
     def second_blocks(rows_fn, nrows):
-        # rows_fn(x, y) -> (nrows, m); differentiate each row wrt y and x
-        yy = np.empty((nrows, m, m))
-        xy = np.empty((nrows, m, n))
-        for i in range(nrows):
-            J_y = fd_jacobian(lambda u: rows_fn(x, u)[i], y, config)
-            J_x = fd_jacobian(lambda z: rows_fn(z, y)[i], x, config)
-            yy[i] = 0.5 * (J_y + J_y.T)
-            xy[i] = J_x
-        return yy, xy
+        # rows_fn(x, y) -> (nrows, m); one pass differentiates the whole
+        # bundle wrt y and one wrt x.  Each entry's difference quotient is
+        # the one a per-row pass would take, so the blocks are identical.
+        yy = fd_jacobian(lambda u: rows_fn(x, u).ravel(), y, config)
+        xy = fd_jacobian(lambda z: rows_fn(z, y).ravel(), x, config)
+        yy = yy.reshape(nrows, m, m)
+        return 0.5 * (yy + yy.transpose(0, 2, 1)), xy.reshape(nrows, m, n)
 
     if problem.objective is not None:
         f_yy, f_xy = second_blocks(_first_y(problem, "f"), 1)

@@ -299,8 +299,8 @@ def robust_pool_gradient(x, spec, y):
 
 def as_problem(spec, n):
     """The pooling node as a DeclarativeProblem (m = 1) with analytic first
-    derivatives and on-demand mixed-derivative columns, for cross-checking
-    against the generic gradient engine."""
+    derivatives and on-demand mixed-derivative column blocks, for
+    cross-checking against the generic gradient engine."""
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
 
     def objective(x, u):
@@ -309,10 +309,10 @@ def as_problem(spec, n):
     def f_y(x, u):
         return np.array([_sums(spec, u[0], np.asarray(x, dtype=float))[1]])
 
-    def b_column(x, u, i):
-        # column i of D2_XY f: d2 phi/du dx_i = -phi''(u - x_i)
-        return np.array([-penalty_d2(spec, u[0] - x[i])])
+    def b_columns(x, u, cols):
+        # columns cols of D2_XY f: d2 phi/du dx_i = -phi''(u - x_i)
+        return np.array([[-penalty_d2(spec, u[0] - x[i]) for i in cols]])
 
     return DeclarativeProblem(
         objective=objective, input_dim=n, output_dim=1,
-        derivatives=Derivatives(f_y=f_y, b_column=b_column))
+        derivatives=Derivatives(f_y=f_y, b_columns=b_columns))

@@ -10,7 +10,7 @@ import pytest
 
 from optnode import gallery, projection
 from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                          RankDeficientConstraints, SingularHessian,
+                          NodeError, RankDeficientConstraints, SingularHessian,
                           UndefinedGradient)
 from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
                                    build_context, gradient_equality,
@@ -483,7 +483,7 @@ def test_vjp_streaming_context_never_builds_b():
     x = rng.normal(size=50)
     y = solve(x).y
     ctx = build_context(problem, x, y)
-    assert ctx.B is None and ctx.b_column is not None
+    assert ctx.B is None and ctx.b_columns is not None
     v = rng.normal(size=4)
     out = vjp(v, ctx, mode="stream_columns")
     np.testing.assert_allclose(
@@ -541,6 +541,36 @@ def test_build_context_auto_dispatch():
     jac = gradient_inequality(disc_problem, dx, dsol.y, dsol.multipliers)
     np.testing.assert_allclose(jacobian_from_context(ctx2), jac.matrix,
                                atol=1e-12)
+
+
+def test_build_context_nan_y_is_a_node_error():
+    problem, _ = gallery.strongly_convex_problem(4, 3, 0)
+    with pytest.raises(NodeError, match=r"H shape \(3, 3\)"):
+        build_context(problem, np.zeros(4), np.array([np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_equality_multiplier_length_is_checked(count):
+    problem, solve = gallery.linear_equality_problem(5, 4, 2, 1)
+    x = np.full(5, 0.3)
+    sol = solve(x)
+    lam = np.resize(sol.multipliers, count)     # p = 2 rows
+    for call in (gradient_equality, build_context):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"expected length 2 \(p\), got {count}"):
+            call(problem, x, sol.y, multipliers=lam)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_inequality_multiplier_length_is_checked(count):
+    problem, solve = gallery.disc_inequality_problem(2)
+    x = np.array([1.5, 0.0])                    # active: p + q = 0 + 1
+    sol = solve(x)
+    lam = np.resize(sol.multipliers, count)
+    for call in (gradient_inequality, build_context):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"expected length 1 \(p \+ q\), got {count}"):
+            call(problem, x, sol.y, multipliers=lam)
 
 
 def test_build_context_pseudo_inverse_path():

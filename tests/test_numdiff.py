@@ -11,7 +11,7 @@ import pytest
 from optnode.numdiff import (CUBE_ROOT_EPS, FdConfig, fd_gradient,
                              fd_hessian_blocks, fd_jacobian)
 from optnode.core import DeclarativeProblem, Derivatives
-from optnode.gallery import spherical_alignment_problem
+from optnode.gallery import linear_equality_problem, spherical_alignment_problem
 
 
 def test_step_rule_cube_root_eps():
@@ -153,6 +153,53 @@ def test_hessian_blocks_constraint_rows():
                                np.array([0.0, 0.6, 0.8]))
     np.testing.assert_allclose(blocks.h_yy[0], np.eye(3), atol=1e-7)
     np.testing.assert_allclose(blocks.h_xy[0], np.zeros((3, 3)), atol=1e-7)
+
+
+def test_hessian_blocks_one_pass_per_variable():
+    """The (p, m) constraint Jacobian is differentiated as one bundle: one
+    probe of h for p, then 2 evaluations of h_y per coordinate of y and of
+    x, i.e. 1 + 2(m + n) callbacks rather than p times as many."""
+    n, m, p = 10, 20, 8
+    problem, solve = linear_equality_problem(n, m, p, seed=3)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    # the problem the engine hands to fd_hessian_blocks for the h blocks
+    stripped = DeclarativeProblem(
+        objective=None, input_dim=n, output_dim=m,
+        eq_constraints=counted(problem.eq_constraints),
+        derivatives=Derivatives(h_y=counted(problem.derivatives.h_y),
+                                h_x=counted(problem.derivatives.h_x)))
+    x = np.linspace(-0.5, 0.5, n)
+    blocks = fd_hessian_blocks(stripped, x, solve(x).y)
+    assert len(calls) == 1 + 2 * (m + n)
+    assert blocks.h_yy.shape == (p, m, m) and blocks.h_xy.shape == (p, m, n)
+    np.testing.assert_allclose(blocks.h_yy, 0.0, atol=1e-9)
+    np.testing.assert_allclose(blocks.h_xy, 0.0, atol=1e-9)
+
+
+def test_hessian_blocks_match_per_row_differences_exactly():
+    """Bundled differences take the same steps and scheme as differencing
+    each row's first derivative on its own, so they agree bit for bit."""
+    def h(x, u):
+        return np.array([np.sin(u @ x), u[0] * u[1] * x[2], np.exp(0.3 * u[2])])
+
+    problem = DeclarativeProblem(objective=None, input_dim=3, output_dim=3,
+                                 eq_constraints=h)
+    x = np.array([0.4, -1.1, 0.7])
+    y = np.array([0.2, 0.5, -0.3])
+    blocks = fd_hessian_blocks(problem, x, y)
+    for i in range(3):
+        row = lambda z, u: fd_jacobian(lambda v: h(z, v), u)[i]
+        J_y = fd_jacobian(lambda u: row(x, u), y)
+        J_x = fd_jacobian(lambda z: row(z, y), x)
+        assert np.array_equal(blocks.h_yy[i], 0.5 * (J_y + J_y.T))
+        assert np.array_equal(blocks.h_xy[i], J_x)
 
 
 def test_pooled_solver_column_against_weight_formula():
