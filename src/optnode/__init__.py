@@ -19,9 +19,8 @@ from .numdiff import FdConfig, fd_gradient, fd_hessian_blocks, fd_jacobian
 from .implicit_diff import (AllocationCounter, GRADIENT_PATHS,
                             GradientContext, build_context,
                             gradient_equality, gradient_feasibility,
-                            gradient_inequality, gradient_linear_equality,
-                            gradient_single_constraint,
-                            gradient_unconstrained, jacobian_from_context,
+                            gradient_inequality, gradient_unconstrained,
+                            jacobian_from_context,
                             pseudo_inverse_descent, recover_multipliers, vjp)
 from .pooling import (Penalty, PenaltySpec, penalty_d1, penalty_d2,
                       penalty_value, robust_pool, robust_pool_gradient)
@@ -45,7 +44,6 @@ __all__ = [
     "Surface", "TrainResult", "UndefinedGradient", "bilevel_train",
     "build_context", "fd_gradient", "fd_hessian_blocks", "fd_jacobian",
     "gradient_equality", "gradient_feasibility", "gradient_inequality",
-    "gradient_linear_equality", "gradient_single_constraint",
     "gradient_unconstrained", "jacobian_from_context", "penalty_d1",
     "penalty_d2", "penalty_value", "project", "project_gradient",
     "pseudo_inverse_descent", "recover_multipliers", "robust_pool",

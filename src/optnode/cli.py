@@ -195,23 +195,22 @@ def _run_equality_sphere(rng):
     return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
 
 
-def _run_linear_shortcut(rng):
+def _run_equality_fixed_rhs(rng):
     prob, solve = gallery.linear_equality_problem(
         3, 5, 2, int(rng.integers(2**63)), rhs_depends_on_x=False)
     x = rng.normal(size=3)
     sol = solve(x)
-    A = prob.derivatives.h_y(x, sol.y)
-    jac = implicit_diff.gradient_linear_equality(prob, x, sol.y, A)
+    jac = implicit_diff.gradient_equality(prob, x, sol.y)
     return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
 
 
-def _run_single_constraint(rng):
+def _run_equality_circle(rng):
     prob, solve = gallery.circle_equality_problem(3)
     x = rng.normal(size=3)
     while np.linalg.norm(x) < 0.3:
         x = rng.normal(size=3)
     sol = solve(x)
-    jac = implicit_diff.gradient_single_constraint(prob, x, sol.y)
+    jac = implicit_diff.gradient_equality(prob, x, sol.y)
     return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
 
 
@@ -326,10 +325,10 @@ def gradcheck_selectors():
                   _run_equality_linear),
         _Selector("equality-sphere", ("equality",), (), 1e-6,
                   _run_equality_sphere),
-        _Selector("linear-equality-shortcut", ("linear_equality",), (), 1e-6,
-                  _run_linear_shortcut),
-        _Selector("single-constraint-sphere", ("single_constraint",), (), 1e-6,
-                  _run_single_constraint),
+        _Selector("equality-fixed-rhs", ("equality",), (), 1e-6,
+                  _run_equality_fixed_rhs),
+        _Selector("equality-circle", ("equality",), (), 1e-6,
+                  _run_equality_circle),
         _Selector("inequality-disc", ("inequality",), (), 1e-6,
                   _run_inequality_disc),
         _Selector("feasibility-branch", ("feasibility",), (), 1e-8,
@@ -604,6 +603,18 @@ def cmd_train(args, parser):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _positive(convert):
+    """argparse type: a positive finite int or float, else a usage error."""
+    def parse(text):
+        value = convert(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names the type on errors
+    return parse
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv", "text"),
@@ -629,7 +640,7 @@ def _build_parser():
                    default=None, help="single selector (default: all)")
     g.add_argument("--all", action="store_true",
                    help="run the full registry with coverage check")
-    g.add_argument("--trials", type=int, default=12)
+    g.add_argument("--trials", type=_positive(int), default=12)
     _add_common(g)
     g.set_defaults(func=cmd_gradcheck)
 
@@ -637,7 +648,7 @@ def _build_parser():
     _add_values(p)
     p.add_argument("--penalty", choices=[k.value for k in Penalty],
                    default="pseudo_huber")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive(float), default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_pool)
 
@@ -648,17 +659,17 @@ def _build_parser():
     q.add_argument("--surface",
                    choices=[s.value for s in projection.Surface],
                    default="sphere")
-    q.add_argument("--radius", type=float, default=1.0)
+    q.add_argument("--radius", type=_positive(float), default=1.0)
     q.add_argument("--masked", action="store_true",
                    help="plateau-zeroing gradient variant")
     _add_common(q)
     q.set_defaults(func=cmd_project)
 
     s = subs.add_parser("study", help="outlier robustness study")
-    s.add_argument("--trials", type=int, default=200)
-    s.add_argument("--points", type=int, default=100)
+    s.add_argument("--trials", type=_positive(int), default=200)
+    s.add_argument("--points", type=_positive(int), default=100)
     s.add_argument("--sigma", type=float, default=0.1)
-    s.add_argument("--alpha", type=float, default=STUDY_ALPHA)
+    s.add_argument("--alpha", type=_positive(float), default=STUDY_ALPHA)
     s.add_argument("--fractions",
                    default=",".join(str(f) for f in STUDY_FRACTIONS))
     _add_common(s)

@@ -3,7 +3,9 @@
 A node is anything with solve / jacobian / vjp and declared dimensions.
 Chains validate adjacent dimensions, cache every intermediate Solution on
 the forward pass, and run the backward pass as right-to-left VJPs so no
-intermediate Jacobian product is ever materialized unless asked for.
+intermediate Jacobian product is ever materialized unless asked for.  A
+declarative node's vjp applies the streamed formula of
+implicit_diff.vjp, so its own Dy is never formed either.
 
 bilevel_train drives full-batch gradient descent of an upper objective
 J(theta, y(theta)) through a lower declarative node.  When the upper
@@ -41,7 +43,7 @@ class Node:
     def jacobian(self, x, solution):
         raise NotImplementedError
 
-    def vjp(self, v, x, solution, mode="materialize", counter=None):
+    def vjp(self, v, x, solution):
         jac = self.jacobian(x, solution)
         self.vjp_count += 1
         return np.asarray(v, dtype=float) @ jac.matrix
@@ -99,11 +101,11 @@ class DeclarativeNode(Node):
                         one_sided=ctx.one_sided,
                         rank_deficient_fallback=ctx.rank_deficient_fallback)
 
-    def vjp(self, v, x, solution, mode="materialize", counter=None):
+    def vjp(self, v, x, solution):
         ctx = self._context(x, solution)
         self.last_one_sided = ctx.one_sided
         self.vjp_count += 1
-        return implicit_diff.vjp(v, ctx, mode=mode, counter=counter)
+        return implicit_diff.vjp(v, ctx, mode="stream_columns")
 
 
 class PoolingNode(Node):
@@ -122,7 +124,7 @@ class PoolingNode(Node):
         self.last_one_sided = jac.one_sided
         return jac
 
-    def vjp(self, v, x, solution, mode="materialize", counter=None):
+    def vjp(self, v, x, solution):
         jac = self.jacobian(x, solution)
         self.vjp_count += 1
         return np.asarray(v, dtype=float) @ jac.matrix
@@ -144,7 +146,7 @@ class ProjectionNode(Node):
         self.last_one_sided = jac.one_sided
         return jac
 
-    def vjp(self, v, x, solution, mode="materialize", counter=None):
+    def vjp(self, v, x, solution):
         jac = self.jacobian(x, solution)
         self.vjp_count += 1
         return np.asarray(v, dtype=float) @ jac.matrix
@@ -184,7 +186,7 @@ class NodeChain:
     def _inputs(self, x, solutions):
         return [np.asarray(x, dtype=float)] + [s.y for s in solutions[:-1]]
 
-    def backward(self, x, solutions, v, mode="materialize"):
+    def backward(self, x, solutions, v):
         """v^T (Dy_last / Dx) by right-to-left VJPs over cached inputs."""
         if len(solutions) != len(self.nodes):
             raise DimensionMismatch(
@@ -193,7 +195,7 @@ class NodeChain:
         out = np.asarray(v, dtype=float).ravel()
         for node, x_i, sol in zip(reversed(self.nodes), reversed(inputs),
                                   reversed(solutions)):
-            out = node.vjp(out, x_i, sol, mode=mode)
+            out = node.vjp(out, x_i, sol)
         return out
 
     def jacobian(self, x, solutions):
@@ -225,7 +227,6 @@ class BilevelTask:
     upper_grad_theta: object = None
     upper_grad_y: object = None
     upper_is_lower_objective: bool = False
-    vjp_mode: str = "materialize"
 
 
 @dataclass
@@ -274,7 +275,7 @@ def bilevel_train(task, theta0):
         if gy is None:
             total = gt
         else:
-            total = gt + task.lower.vjp(gy, theta, sol, mode=task.vjp_mode)
+            total = gt + task.lower.vjp(gy, theta, sol)
         step = -task.step_size * total
         theta = theta + step
         step_inf = float(np.max(np.abs(step)))

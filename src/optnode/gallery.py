@@ -106,7 +106,7 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
     """Convex objective with h(x, u) = A u - (P x + d) = 0.
 
     rhs_depends_on_x=False sets P = 0, giving the fixed-target system
-    A u = d whose gradient admits the zero-C shortcut formula."""
+    A u = d, whose constraint stack has C = 0."""
     rng = np.random.default_rng(seed)
     Q, M, value, f_y, f_yy, f_xy = _convex_pieces(rng, input_dim, output_dim)
     A = rng.normal(size=(n_constraints, output_dim))

@@ -1,26 +1,27 @@
 """Backward-pass engine: exact Jacobians of argmin solution maps.
 
-Given a problem, an input x, and a stationary solution y, these functions
-return the dense derivative Dy(x) of the solution map without ever
-differentiating through solver iterates.  Each problem sub-class has its
-own path:
+Given a problem, an input x, and a stationary solution y, build_context
+assembles the one KKT system of the implicit function theorem and
+jacobian_from_context / vjp apply it, without ever differentiating
+through solver iterates.  Every problem class shares one formula,
 
-* gradient_unconstrained      -H^-1 B
-* gradient_equality           full multiplier-corrected formula over h
-* gradient_inequality         same formula over the active constraint stack
-* gradient_feasibility        A Dy = -C for constraint-only problems
-* gradient_single_constraint  rank-one shortcut for one x-independent h
-* gradient_linear_equality    shortcut for Au = d
-* pseudo_inverse_descent      minimum-norm descent direction, singular H
+    Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B,
 
 with H = D2_YY f - sum_i lambda_i D2_YY h~_i and B the mixed x/u analogue,
-A = D_Y h~, C = D_X h~ over the active stack h~.  Second derivatives come
-from analytic callbacks when the problem carries them and from numdiff
-otherwise.  vjp() evaluates v^T Dy(x) left-to-right, optionally streaming
-B in blocks of max(1, n // m) columns from the problem's b_columns callback,
-one callback and one product per block, so the full matrix is never stored.
-H is factored once per context (Cholesky, LU when that fails); its condition
-gate reads LAPACK's estimate on that factor rather than an SVD.
+A = D_Y h~, C = D_X h~ over the constraint stack h~.  The classes differ
+only in the stack: empty when unconstrained (Dy = -H^-1 B), the p
+equality rows, or those plus the active inequality rows.  A feasibility
+problem (no objective) takes H = I and B = 0.  The named paths
+gradient_unconstrained / _equality / _inequality / _feasibility and
+pseudo_inverse_descent strip what they ignore and materialize one context.
+
+Second derivatives come from analytic callbacks when the problem carries
+them and from numdiff otherwise.  vjp() evaluates v^T Dy(x) left-to-right;
+an empty stack streams B in blocks of max(1, n // m) columns from the
+problem's b_columns callback, one callback and one product per block, so
+the full matrix is never stored.  H is factored once per context
+(Cholesky, LU when that fails); its condition gate reads LAPACK's
+estimate on that factor rather than an SVD.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ SV_CUTOFF_RTOL = 1e-10   # pseudo-inverse singular-value cutoff
 ACTIVE_TOL = 1e-8        # g_i active iff g_i(x, y) >= -ACTIVE_TOL
 ZERO_MULTIPLIER_TOL = 1e-8
 
-# Names used by the gradcheck registry to assert coverage.
+# Scenarios the gradcheck registry must cover.
 GRADIENT_PATHS = ("unconstrained", "equality", "inequality", "feasibility",
-                  "single_constraint", "linear_equality", "pseudo_inverse",
-                  "vjp")
+                  "pseudo_inverse", "vjp")
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +91,15 @@ class _Factor:
 
 
 class _PinvFactor:
-    """Solve handle backed by the Moore-Penrose pseudo-inverse."""
+    """Solve handle backed by the Moore-Penrose pseudo-inverse; cond is
+    the estimate that sent H here (inf when none was taken)."""
 
-    def __init__(self, H):
+    def __init__(self, H, cond=np.inf):
         if not np.all(np.isfinite(H)):
             raise SingularHessian(
                 f"cond(H) ~ inf (non-finite entries), H shape {H.shape}")
         self.H = H
+        self.cond = cond
         self._pinv = np.linalg.pinv(H, rcond=SV_CUTOFF_RTOL)
 
     def solve(self, rhs):
@@ -146,10 +148,18 @@ def _f_y(problem, x, y):
     return numdiff.fd_gradient(lambda u: problem.objective(x, u), y)
 
 
-def _objective_blocks(problem, x, y):
-    """(H_f symmetrized, B_f); numeric pieces only where analytic missing."""
+def _objective_blocks(problem, x, y, with_b=True):
+    """(H_f symmetrized, B_f); numeric pieces only where analytic missing.
+
+    with_b=False returns (H_f, None) without touching f_xy, so no (m, n)
+    block is formed; a missing f_yy then comes from differentiating f_y.
+    """
     d = problem.derivatives
     f_yy = np.asarray(d.f_yy(x, y), dtype=float) if d and d.f_yy else None
+    if not with_b:
+        if f_yy is None:
+            f_yy = numdiff.fd_jacobian(lambda u: _f_y(problem, x, u), y)
+        return 0.5 * (f_yy + f_yy.T), None
     f_xy = np.asarray(d.f_xy(x, y), dtype=float) if d and d.f_xy else None
     if f_yy is None or f_xy is None:
         stripped = dataclasses.replace(problem, eq_constraints=None,
@@ -245,19 +255,20 @@ def recover_multipliers(A, grad_f):
 
 
 # ---------------------------------------------------------------------------
-# Gradient context (shared by the paths and by vjp)
+# Gradient context: the one builder
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GradientContext:
     """Everything the backward pass needs at one (x, y).
 
-    H is symmetrized on construction; A has no all-zero rows (rank repair
-    runs before the context is built).  B may be None when b_columns
-    generates blocks of columns on demand (streaming): b_columns(cols)
-    returns B[:, cols], shape (m, len(cols)), for an integer index array
-    cols.  h_factorization is an opaque solve handle for H, reusable
-    across blocks and across VJPs.
+    H is the symmetric Lagrangian Hessian; A and C hold the constraint
+    stack that remains after rank repair and the zero-multiplier rule (no
+    all-zero rows; k = 0 for an unconstrained problem).  B may be None
+    when b_columns generates blocks of columns on demand (streaming):
+    b_columns(cols) returns B[:, cols], shape (m, len(cols)), for an
+    integer index array cols.  h_factorization is an opaque solve handle
+    for H, reusable across blocks and across VJPs.
     """
 
     H: np.ndarray                      # (m, m)
@@ -271,15 +282,131 @@ class GradientContext:
     rank_deficient_fallback: bool = False
 
 
-def _gate_hessian(H, constrained, problem_dims):
-    fr = _Factor(H)
-    if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
-        where = "constrained" if constrained else "unconstrained"
-        raise SingularHessian(
-            f"cond(H) ~ {fr.cond:.3e} on {where} problem, H shape {H.shape}, "
-            f"dims {problem_dims}")
-    return fr
+def build_context(problem, x, y, multipliers=None, path="auto",
+                  zero_multiplier_branch="constrained"):
+    """Build the GradientContext for repeated Jacobians and VJPs at (x, y).
 
+    The stack is the equality rows plus the inequality rows with
+    g(x, y) >= -1e-8.  Rank repair drops dependent rows (their multipliers
+    are fixed to zero).  Multipliers are recovered analytically when
+    absent, and otherwise checked against p, or p + q when the problem has
+    inequalities.  one_sided is set whenever an active inequality
+    multiplier is within 1e-8 of zero; for such rows the rule selected by
+    zero_multiplier_branch applies:
+
+    * "constrained" (default): keep the row in the stack,
+    * "unconstrained": drop it and differentiate as if inactive,
+    * "reject": raise UndefinedGradient.
+
+    Neither branch is claimed optimal for learning dynamics; the true
+    derivative is one-sided either way.
+
+    H failing the condition gate raises SingularHessian when the stack is
+    non-empty; an empty stack takes the pseudo-inverse instead and sets
+    rank_deficient_fallback, as path "pseudo_inverse" does outright (that
+    path ignores the constraints).  An empty stack streams B when the
+    problem has a b_columns callback.  A problem without objective uses
+    H = I and B = 0: the minimum-norm solution of A Dy = -C, flagged when
+    fewer than m rows are kept.  A non-finite x raises UndefinedGradient
+    before any callback runs.
+    """
+    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
+    if not np.isfinite(x).all():
+        raise UndefinedGradient(
+            f"x of shape {x.shape} has "
+            f"{np.count_nonzero(~np.isfinite(x))} non-finite entries")
+    if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
+        raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
+    if path == "pseudo_inverse":
+        problem = dataclasses.replace(problem, eq_constraints=None,
+                                      ineq_constraints=None)
+        multipliers = None
+    elif path != "auto":
+        raise ValueError(f"unknown gradient path {path!r}")
+    m, n = y.size, x.size
+    feasibility = problem.objective is None
+
+    # constraint stack: the h rows, then the active g rows
+    A, C = _constraint_first(problem, x, y, "h")
+    p, q = A.shape[0], 0
+    act = np.zeros(0, dtype=int)
+    if problem.ineq_constraints is not None:
+        gv = np.atleast_1d(np.asarray(problem.ineq_constraints(x, y),
+                                      dtype=float))
+        q = gv.size
+        act = np.flatnonzero(gv >= -ACTIVE_TOL)
+        A_g, C_g = _constraint_first(problem, x, y, "g")
+        A, C = np.vstack([A, A_g[act]]), np.vstack([C, C_g[act]])
+    if multipliers is not None:
+        rows = "p + q" if problem.ineq_constraints is not None else "p"
+        multipliers = _checked_multipliers(multipliers, p + q, rows)
+    k = A.shape[0]
+    kept, dropped = _rank_repair(A)
+    if kept.size == 0 and (k or feasibility):
+        raise RankDeficientConstraints(
+            f"no constraint row survives rank repair (A = 0), stack shape "
+            f"{A.shape}")
+
+    lam = np.zeros(k)
+    stack, one_sided = kept, False
+    if k and not feasibility:
+        if multipliers is None:
+            lam[kept] = recover_multipliers(A[kept], _f_y(problem, x, y))
+        else:
+            lam = multipliers[np.concatenate([np.arange(p), p + act])]
+            lam[dropped] = 0.0
+        zero_rows = np.flatnonzero(np.abs(lam[p:]) <= ZERO_MULTIPLIER_TOL) + p
+        one_sided = zero_rows.size > 0
+        if one_sided and zero_multiplier_branch == "reject":
+            raise UndefinedGradient(
+                f"{zero_rows.size} active inequality rows with zero "
+                f"multiplier (gradient one-sided), stack shape {A.shape}")
+        if zero_multiplier_branch == "unconstrained":
+            stack = np.setdiff1d(kept, zero_rows)
+
+    # Lagrangian H, B; an empty stack never forms B when it can stream
+    d = problem.derivatives
+    stream = k == 0 and d is not None and d.b_columns is not None
+    if feasibility:
+        H, B = np.eye(m), np.zeros((m, n))
+    else:
+        H, B = _objective_blocks(problem, x, y, with_b=not stream)
+    nz = np.flatnonzero(lam).tolist()
+    if nz:
+        h2 = _constraint_second(problem, x, y, "h") if nz[0] < p else None
+        g2 = _constraint_second(problem, x, y, "g") if nz[-1] >= p else None
+        # own copies for the in-place updates: B may be the callback's array
+        H, B = H.copy(), B.copy()
+        for i in nz:
+            (yy, xy), row = (h2, i) if i < p else (g2, act[i - p])
+            H -= lam[i] * yy[row]
+            B -= lam[i] * xy[row]
+        H = 0.5 * (H + H.T)
+
+    pinv = path == "pseudo_inverse"
+    fr = _PinvFactor(H) if pinv else _Factor(H)
+    if not pinv and (not np.isfinite(fr.cond) or fr.cond > COND_LIMIT):
+        if stack.size:
+            raise SingularHessian(
+                f"cond(H) ~ {fr.cond:.3e} with a stack of {stack.size} rows, "
+                f"H shape {H.shape}, dims m={m} n={n} p={p} q={q}")
+        fr, pinv = _PinvFactor(H, fr.cond), True
+    b_columns = None
+    if stream:
+        b_columns = lambda cols: np.asarray(d.b_columns(x, y, cols),
+                                            dtype=float)
+    if stack.size < k:
+        A, C = A[stack], C[stack]
+    return GradientContext(
+        H=H, B=B, A=A, C=C, h_factorization=fr, n=n,
+        b_columns=b_columns, one_sided=one_sided,
+        rank_deficient_fallback=pinv or bool(
+            kept.size < m if feasibility else dropped.size))
+
+
+# ---------------------------------------------------------------------------
+# The one apply: Jacobians and VJPs
+# ---------------------------------------------------------------------------
 
 def _gate_schur(A, HiAt):
     """Factor of the symmetric A H^-1 A^T, gated on its condition estimate."""
@@ -298,356 +425,6 @@ def _constrained_dy(fr, A, B, C, cnt=None):
     HiAt = cnt.adopt(fr.solve(A.T))
     S = cnt.adopt(_gate_schur(A, HiAt).solve(A @ HiB - C))
     return cnt.adopt(HiAt @ S - HiB)
-
-
-# ---------------------------------------------------------------------------
-# Gradient paths
-# ---------------------------------------------------------------------------
-
-def gradient_unconstrained(problem, x, y, pseudo_inverse_fallback=True):
-    """Dy = -H^-1 B for an unconstrained stationary y.
-
-    Falls back to pseudo_inverse_descent when H's condition estimate
-    exceeds 1e12, unless the fallback is disabled, in which case
-    SingularHessian is raised.
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    H, B = _objective_blocks(problem, x, y)
-    fr = _Factor(H)
-    if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
-        if pseudo_inverse_fallback:
-            return pseudo_inverse_descent(problem, x, y)
-        raise SingularHessian(
-            f"cond(H) ~ {fr.cond:.3e}, H shape {H.shape}, fallback disabled")
-    return Jacobian(-fr.solve(B))
-
-
-def gradient_equality(problem, x, y, multipliers=None):
-    """Equality-constrained Dy via the multiplier-corrected formula.
-
-    Rank repair drops linearly dependent rows of A (their multipliers are
-    fixed to zero); multipliers are recovered analytically when absent.
-    """
-    ctx, _ = _equality_context(problem, x, y, multipliers)
-    return Jacobian(jacobian_from_context(ctx),
-                    rank_deficient_fallback=ctx.rank_deficient_fallback)
-
-
-def _equality_context(problem, x, y, multipliers=None):
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    A_all, C_all = _constraint_first(problem, x, y, "h")
-    p = A_all.shape[0]
-    if multipliers is not None:
-        multipliers = _checked_multipliers(multipliers, p, "p")
-    if p == 0:
-        # degenerate stack: lambda is empty and the formula collapses to
-        # the unconstrained -H^-1 B
-        H_f, B_f = _objective_blocks(problem, x, y)
-        H = 0.5 * (H_f + H_f.T)
-        fr = _gate_hessian(H, constrained=False,
-                           problem_dims=f"m={y.size} n={x.size} p=0")
-        ctx = GradientContext(H=H, B=B_f, A=np.zeros((0, y.size)),
-                              C=np.zeros((0, x.size)), h_factorization=fr,
-                              n=x.size)
-        return ctx, np.zeros(0)
-    kept, dropped = _rank_repair(A_all)
-    if kept.size == 0:
-        raise RankDeficientConstraints(
-            f"all {p} equality rows dropped by rank repair (A = 0), m={y.size}")
-    A = A_all[kept]
-    if multipliers is None:
-        lam_kept = recover_multipliers(A, _f_y(problem, x, y))
-        lam = np.zeros(p)
-        lam[kept] = lam_kept
-    else:
-        lam = multipliers.copy()
-        lam[dropped] = 0.0
-
-    H_f, B_f = _objective_blocks(problem, x, y)
-    h_yy, h_xy = _constraint_second(problem, x, y, "h")
-    H = H_f.copy()
-    B = B_f.copy()
-    for i in range(p):
-        if lam[i] != 0.0:
-            H -= lam[i] * h_yy[i]
-            B -= lam[i] * h_xy[i]
-    H = 0.5 * (H + H.T)
-    fr = _gate_hessian(H, constrained=True,
-                       problem_dims=f"m={y.size} n={x.size} p={p}")
-    ctx = GradientContext(H=H, B=B, A=A, C=C_all[kept], h_factorization=fr,
-                          n=x.size, rank_deficient_fallback=dropped.size > 0)
-    return ctx, lam
-
-
-def gradient_inequality(problem, x, y, multipliers=None,
-                        zero_multiplier_branch="constrained"):
-    """Dy over the active constraint stack (equalities plus active
-    inequalities), per the active-set formula.
-
-    Active means g_i(x, y) >= -1e-8.  one_sided is set whenever an active
-    inequality multiplier is within 1e-8 of zero; for such rows the rule
-    selected by zero_multiplier_branch applies:
-
-    * "constrained" (default): keep the row in the stack,
-    * "unconstrained": drop it and differentiate as if inactive,
-    * "reject": raise UndefinedGradient.
-
-    Neither branch is claimed optimal for learning dynamics; the true
-    derivative is one-sided either way.
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
-        raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
-
-    gv = (np.atleast_1d(np.asarray(problem.ineq_constraints(x, y), dtype=float))
-          if problem.ineq_constraints is not None else np.zeros(0))
-    q = gv.shape[0]
-    active = gv >= -ACTIVE_TOL
-
-    A_h, C_h = _constraint_first(problem, x, y, "h")
-    p = A_h.shape[0]
-    A_g, C_g = _constraint_first(problem, x, y, "g")
-    if multipliers is not None:
-        multipliers = _checked_multipliers(multipliers, p + q, "p + q")
-    act_idx = np.flatnonzero(active)
-    A_all = np.vstack([A_h, A_g[act_idx]])
-    C_all = np.vstack([C_h, C_g[act_idx]])
-    k = A_all.shape[0]
-
-    if k == 0:
-        return gradient_unconstrained(problem, x, y,
-                                      pseudo_inverse_fallback=False)
-
-    kept, dropped = _rank_repair(A_all)
-    if kept.size == 0:
-        raise RankDeficientConstraints(
-            f"all {k} active rows dropped by rank repair (A = 0), m={y.size}")
-    lam = np.zeros(k)
-    if multipliers is None:
-        lam[kept] = recover_multipliers(A_all[kept], _f_y(problem, x, y))
-    else:
-        lam[:p] = multipliers[:p]
-        lam[p:] = multipliers[p:][act_idx]
-        lam[dropped] = 0.0
-
-    # scenario handling for active inequalities with (near-)zero multiplier
-    ineq_lam = lam[p:]
-    zero_rows = np.flatnonzero(np.abs(ineq_lam) <= ZERO_MULTIPLIER_TOL) + p
-    one_sided = zero_rows.size > 0
-    if one_sided and zero_multiplier_branch == "reject":
-        raise UndefinedGradient(
-            f"{zero_rows.size} active inequality rows with zero multiplier "
-            f"(gradient one-sided), stack shape {A_all.shape}")
-    stack = [i for i in kept
-             if not (zero_multiplier_branch == "unconstrained" and i in zero_rows)]
-
-    H_f, B_f = _objective_blocks(problem, x, y)
-    H = H_f.copy()
-    B = B_f.copy()
-    if p and np.any(lam[:p] != 0.0):
-        h_yy, h_xy = _constraint_second(problem, x, y, "h")
-        for i in range(p):
-            if lam[i] != 0.0:
-                H -= lam[i] * h_yy[i]
-                B -= lam[i] * h_xy[i]
-    if act_idx.size and np.any(lam[p:] != 0.0):
-        g_yy, g_xy = _constraint_second(problem, x, y, "g")
-        for j, gi in enumerate(act_idx):
-            if lam[p + j] != 0.0:
-                H -= lam[p + j] * g_yy[gi]
-                B -= lam[p + j] * g_xy[gi]
-    H = 0.5 * (H + H.T)
-    fr = _gate_hessian(H, constrained=bool(stack),
-                       problem_dims=f"m={y.size} n={x.size} p={p} q={q}")
-    if not stack:
-        return Jacobian(-fr.solve(B), one_sided=one_sided)
-    stack = np.asarray(stack, dtype=int)
-    Dy = _constrained_dy(fr, A_all[stack], B, C_all[stack])
-    return Jacobian(Dy, one_sided=one_sided,
-                    rank_deficient_fallback=dropped.size > 0)
-
-
-def gradient_feasibility(problem, x, y):
-    """Dy for constraint-only problems: solve A Dy = -C.
-
-    Exact solve when rank(A) = m (square or consistent over-determined).
-    For 1 <= rank < m the minimum-norm pseudo-inverse solution is returned
-    with rank_deficient_fallback set.  A = 0 raises.
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    A_h, C_h = _constraint_first(problem, x, y, "h")
-    blocks_A, blocks_C = [A_h], [C_h]
-    if problem.ineq_constraints is not None:
-        gv = np.atleast_1d(problem.ineq_constraints(x, y))
-        A_g, C_g = _constraint_first(problem, x, y, "g")
-        act = np.flatnonzero(gv >= -ACTIVE_TOL)
-        blocks_A.append(A_g[act]); blocks_C.append(C_g[act])
-    A = np.vstack(blocks_A)
-    C = np.vstack(blocks_C)
-    if A.shape[0] == 0 or not np.any(A):
-        raise RankDeficientConstraints(
-            f"A = 0 for feasibility problem, stack shape {A.shape}")
-    sv = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(sv > PIVOT_RTOL * sv[0]))
-    m = y.size
-    if rank == m:
-        if A.shape[0] == m:
-            return Jacobian(np.linalg.solve(A, -C))
-        Dy, *_ = np.linalg.lstsq(A, -C, rcond=None)
-        return Jacobian(Dy)
-    Dy = -np.linalg.pinv(A, rcond=SV_CUTOFF_RTOL) @ C
-    return Jacobian(Dy, rank_deficient_fallback=True)
-
-
-def gradient_single_constraint(problem, x, y):
-    """Rank-one shortcut for exactly one x-independent equality constraint.
-
-    Dy = (H^-1 a a^T H^-1 / (a^T H^-1 a) - H^-1) B, with the multiplier
-    recovered from any nonzero coordinate of a = (D_Y h)^T (the largest in
-    magnitude is used for stability).
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    A, _ = _constraint_first(problem, x, y, "h")
-    if A.shape[0] != 1:
-        raise DimensionMismatch(
-            f"single-constraint path requires p=1, got p={A.shape[0]}")
-    a = A[0]
-    i = int(np.argmax(np.abs(a)))
-    if a[i] == 0.0:
-        raise UndefinedGradient(f"D_Y h(y) = 0 at y of size {y.size}")
-    lam = float(_f_y(problem, x, y)[i] / a[i])
-
-    H_f, B = _objective_blocks(problem, x, y)
-    h_yy, _ = _constraint_second(problem, x, y, "h")
-    H = 0.5 * ((H_f - lam * h_yy[0]) + (H_f - lam * h_yy[0]).T)
-    fr = _gate_hessian(H, constrained=True,
-                       problem_dims=f"m={y.size} n={x.size} p=1")
-    Ha = fr.solve(a)
-    den = float(a @ Ha)
-    if den == 0.0 or not np.isfinite(den):
-        raise SingularHessian(
-            f"a^T H^-1 a = {den!r} degenerate, H shape {H.shape}")
-    return Jacobian(np.outer(Ha, Ha @ B) / den - fr.solve(B))
-
-
-def gradient_linear_equality(problem, x, y, A):
-    """Shortcut for linear constraints A u = d with d independent of x:
-    Dy = (H^-1 A^T (A H^-1 A^T)^-1 A H^-1 - H^-1) B with plain H, B."""
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    kept, _ = _rank_repair(A)
-    if kept.size == 0:
-        raise RankDeficientConstraints(f"A = 0, shape {A.shape}")
-    A = A[kept]
-    H_f, B = _objective_blocks(problem, x, y)
-    H = 0.5 * (H_f + H_f.T)
-    fr = _gate_hessian(H, constrained=True,
-                       problem_dims=f"m={y.size} n={x.size} p={A.shape[0]}")
-    return Jacobian(_constrained_dy(fr, A, B, np.zeros((A.shape[0], x.size))))
-
-
-def pseudo_inverse_descent(problem, x, y):
-    """Minimum-norm descent direction -H^+ B for singular H.
-
-    Singular values below 1e-10 times the largest are cut off.  This is
-    the zero-extra-term member of the family of valid descent directions;
-    no selection among the family is attempted.
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    H, B = _objective_blocks(problem, x, y)
-    return Jacobian(-_PinvFactor(H).solve(B), rank_deficient_fallback=True)
-
-
-# ---------------------------------------------------------------------------
-# Contexts and VJPs
-# ---------------------------------------------------------------------------
-
-def build_context(problem, x, y, multipliers=None, path="auto",
-                  zero_multiplier_branch="constrained"):
-    """Build a GradientContext for repeated VJPs at one (x, y).
-
-    path "auto" dispatches on the problem's constraint structure.  For the
-    feasibility path the solved Jacobian is stored directly (H = I,
-    B = -Dy), which keeps both vjp modes exact.  Streaming contexts (B
-    generated in column blocks) arise when the problem supplies a
-    b_columns callback and the path is unconstrained.  A non-finite H
-    raises SingularHessian.
-    """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    if path == "auto":
-        if problem.objective is None:
-            path = "feasibility"
-        elif problem.ineq_constraints is not None:
-            path = "inequality"
-        elif problem.eq_constraints is not None:
-            path = "equality"
-        else:
-            path = "unconstrained"
-
-    m, n = y.size, x.size
-    if path == "unconstrained" or path == "pseudo_inverse":
-        d = problem.derivatives
-        stream = (path == "unconstrained" and d is not None
-                  and d.b_columns is not None)
-        if stream:
-            # never touch f_xy here: H alone, so no (m, n) block is formed
-            if d.f_yy is not None:
-                H = np.asarray(d.f_yy(x, y), dtype=float)
-            elif d.f_y is not None:
-                H = numdiff.fd_jacobian(
-                    lambda u: np.asarray(d.f_y(x, u), dtype=float), y)
-            else:
-                H = numdiff.fd_jacobian(
-                    lambda u: numdiff.fd_gradient(
-                        lambda uu: problem.objective(x, uu), u), y)
-            H = 0.5 * (H + H.T)
-            B = None
-            b_col = lambda cols: np.asarray(d.b_columns(x, y, cols),
-                                            dtype=float)
-        else:
-            H, B = _objective_blocks(problem, x, y)
-            b_col = None
-        if path == "pseudo_inverse":
-            fr = _PinvFactor(H)
-            return GradientContext(H=H, B=B, A=np.zeros((0, m)),
-                                   C=np.zeros((0, n)), h_factorization=fr,
-                                   n=n, b_columns=b_col,
-                                   rank_deficient_fallback=True)
-        fr = _Factor(H)
-        if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
-            fr = _PinvFactor(H)
-            return GradientContext(H=H, B=B, A=np.zeros((0, m)),
-                                   C=np.zeros((0, n)), h_factorization=fr,
-                                   n=n, b_columns=b_col,
-                                   rank_deficient_fallback=True)
-        return GradientContext(H=H, B=B, A=np.zeros((0, m)),
-                               C=np.zeros((0, n)), h_factorization=fr, n=n,
-                               b_columns=b_col)
-
-    if path == "equality":
-        ctx, _ = _equality_context(problem, x, y, multipliers)
-        return ctx
-
-    if path == "inequality":
-        # reuse gradient_inequality's stack logic by rebuilding the pieces
-        jac = gradient_inequality(problem, x, y, multipliers,
-                                  zero_multiplier_branch)
-        return _context_from_jacobian(jac, m, n)
-
-    if path == "feasibility":
-        jac = gradient_feasibility(problem, x, y)
-        return _context_from_jacobian(jac, m, n)
-
-    raise ValueError(f"unknown gradient path {path!r}")
-
-
-def _context_from_jacobian(jac, m, n):
-    """Wrap an already-solved Jacobian as a context: H = I, B = -Dy."""
-    H = np.eye(m)
-    return GradientContext(H=H, B=-jac.matrix, A=np.zeros((0, m)),
-                           C=np.zeros((0, n)), h_factorization=_Factor(H),
-                           n=n, one_sided=jac.one_sided,
-                           rank_deficient_fallback=jac.rank_deficient_fallback)
 
 
 def jacobian_from_context(context, counter=None):
@@ -707,3 +484,61 @@ def vjp(v, context, mode="materialize", counter=None):
     if s is not None:
         out -= s @ context.C
     return out
+
+
+# ---------------------------------------------------------------------------
+# Named paths: each strips what it ignores and materializes one context
+# ---------------------------------------------------------------------------
+
+def _jacobian(ctx):
+    return Jacobian(jacobian_from_context(ctx), one_sided=ctx.one_sided,
+                    rank_deficient_fallback=ctx.rank_deficient_fallback)
+
+
+def gradient_unconstrained(problem, x, y, pseudo_inverse_fallback=True):
+    """Dy = -H^-1 B for an unconstrained stationary y (constraints ignored).
+
+    Falls back to the pseudo-inverse when H's condition estimate exceeds
+    1e12, unless the fallback is disabled, in which case SingularHessian
+    is raised.
+    """
+    ctx = build_context(dataclasses.replace(
+        problem, eq_constraints=None, ineq_constraints=None), x, y)
+    if ctx.rank_deficient_fallback and not pseudo_inverse_fallback:
+        raise SingularHessian(
+            f"cond(H) ~ {ctx.h_factorization.cond:.3e}, H shape "
+            f"{ctx.H.shape}, fallback disabled")
+    return _jacobian(ctx)
+
+
+def gradient_equality(problem, x, y, multipliers=None):
+    """Equality-constrained Dy (inequalities ignored); see build_context."""
+    return _jacobian(build_context(dataclasses.replace(
+        problem, ineq_constraints=None), x, y, multipliers))
+
+
+def gradient_inequality(problem, x, y, multipliers=None,
+                        zero_multiplier_branch="constrained"):
+    """Dy over the equalities plus the active inequalities; see
+    build_context for the zero-multiplier rules."""
+    return _jacobian(build_context(problem, x, y, multipliers, "auto",
+                                   zero_multiplier_branch))
+
+
+def gradient_feasibility(problem, x, y):
+    """Dy for constraint-only problems (objective ignored): the solution
+    of A Dy = -C, minimum-norm with rank_deficient_fallback set when fewer
+    than m independent rows exist.  A = 0 raises."""
+    return _jacobian(build_context(
+        dataclasses.replace(problem, objective=None), x, y))
+
+
+def pseudo_inverse_descent(problem, x, y):
+    """Minimum-norm descent direction -H^+ B for singular H (constraints
+    ignored).
+
+    Singular values below 1e-10 times the largest are cut off.  This is
+    the zero-extra-term member of the family of valid descent directions;
+    no selection among the family is attempted.
+    """
+    return _jacobian(build_context(problem, x, y, path="pseudo_inverse"))

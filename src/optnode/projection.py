@@ -203,8 +203,8 @@ def project_gradient(x, spec, y):
 
 def as_problem(spec, n):
     """The projection node as a DeclarativeProblem with analytic callbacks,
-    for cross-checking against the generic single-constraint engine at
-    smooth points."""
+    for cross-checking against the generic engine (one equality row, or one
+    inequality row for the ball) at smooth points."""
     spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
     r = spec.radius
 

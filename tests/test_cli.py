@@ -2,12 +2,15 @@
 codes, seed determinism, and the per-command contracts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optnode
 from optnode import implicit_diff
 from optnode.cli import (REQUIRED_NODES, gradcheck_selectors, main,
                          registry_coverage, run_gradcheck)
@@ -175,6 +178,23 @@ def test_train_unknown_task_is_usage_error():
 # shared plumbing
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--trials", "0"],
+    ["study", "--trials", "0"],
+    ["study", "--points", "0"],
+    ["pool", "--values", "1,2", "--alpha", "0"],
+    ["pool", "--values", "1,2", "--alpha", "-1"],
+    ["pool", "--values", "1,2", "--alpha", "inf"],
+    ["project", "--values", "1,2", "--radius", "0"],
+    ["project", "--values", "1,2", "--radius", "inf"],
+])
+def test_nonpositive_counts_and_scales_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -238,11 +258,14 @@ def test_csv_and_text_formats(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.json"
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(optnode.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from optnode.cli import main; sys.exit(main())",
          "pool", "--values", "1,2,3", "--penalty", "quadratic",
          "--format", "json", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["rows"][0]["y"] == 2.0

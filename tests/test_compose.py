@@ -283,8 +283,8 @@ def test_trainer_tags_lower_failure_with_iteration():
             self.solve_count += 1
             return self._inner.solve(x)
 
-        def vjp(self, v, x, solution, mode="materialize", counter=None):
-            return self._inner.vjp(v, x, solution, mode=mode)
+        def vjp(self, v, x, solution):
+            return self._inner.vjp(v, x, solution)
 
     task = BilevelTask(
         upper_objective=lambda th, y: 0.5 * y[0] ** 2,

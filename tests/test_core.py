@@ -174,14 +174,6 @@ def test_jacobian_dims_for_every_gradient_path():
     sol = eq_solve(x)
     shapes["equality"] = implicit_diff.gradient_equality(
         eq_problem, x, sol.y, sol.multipliers).matrix.shape
-    A = eq_problem.derivatives.h_y(x, sol.y)
-    shapes["linear_equality"] = (4, 3) if implicit_diff.gradient_linear_equality(
-        eq_problem, x, sol.y, A).matrix.shape == (4, 3) else None
-
-    sp_problem, sp_solve = gallery.sphere_equality_problem(3, 4, seed=5)
-    sp_sol = sp_solve(x)
-    shapes["single_constraint"] = implicit_diff.gradient_single_constraint(
-        sp_problem, x, sp_sol.y).matrix.shape
 
     disc_problem, disc_solve = gallery.disc_inequality_problem(3)
     dx = np.array([1.4, -0.2, 0.6])
@@ -198,8 +190,7 @@ def test_jacobian_dims_for_every_gradient_path():
     shapes["vjp"] = implicit_diff.jacobian_from_context(ctx).shape
 
     expected = {"unconstrained": (2, 3), "pseudo_inverse": (2, 3),
-                "equality": (4, 3), "linear_equality": (4, 3),
-                "single_constraint": (4, 3), "inequality": (3, 3),
+                "equality": (4, 3), "inequality": (3, 3),
                 "feasibility": (1, 1), "vjp": (2, 3)}
     assert shapes == expected
     assert set(implicit_diff.GRADIENT_PATHS) == set(expected)

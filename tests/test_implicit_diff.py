@@ -5,6 +5,8 @@ branch slopes) were worked out by hand; everything non-closed-form is
 checked against the finite-difference oracle of test_numdiff.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
 from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
                                    build_context, gradient_equality,
                                    gradient_feasibility, gradient_inequality,
-                                   gradient_linear_equality,
-                                   gradient_single_constraint,
                                    gradient_unconstrained,
                                    jacobian_from_context,
                                    pseudo_inverse_descent,
@@ -332,13 +332,13 @@ def test_feasibility_zero_rows_raise():
         gradient_feasibility(problem, np.zeros(1), np.zeros(1))
 
 
-# --- single-constraint and linear-equality shortcuts ----------------------
+# --- single-constraint and fixed-target linear equality problems -----------
 
 def test_single_constraint_l2_sphere():
     problem = _l2_projection_problem(2)
     x = np.array([3.0, 4.0])
     sol = projection.project(x, projection.ProjectionSpec("l2"))
-    jac = gradient_single_constraint(problem, x, sol.y)
+    jac = gradient_equality(problem, x, sol.y)
     expected = np.array([[0.128, -0.096], [-0.096, 0.072]])
     np.testing.assert_allclose(jac.matrix, expected, atol=1e-12)
 
@@ -347,62 +347,41 @@ def test_single_constraint_tangency():
     problem, solve = gallery.sphere_equality_problem(3, 4, seed=8)
     x = np.array([0.3, 0.1, -0.5])
     sol = solve(x)
-    jac = gradient_single_constraint(problem, x, sol.y)
+    jac = gradient_equality(problem, x, sol.y)
     assert np.max(np.abs(sol.y @ jac.matrix)) <= 1e-8
 
 
-def test_single_constraint_agrees_with_equality_path():
-    problem, solve = gallery.sphere_equality_problem(3, 4, seed=4)
-    x = np.array([0.25, -0.15, 0.45])
-    sol = solve(x)
-    a = gradient_single_constraint(problem, x, sol.y)
-    b = gradient_equality(problem, x, sol.y, sol.multipliers)
-    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
-
-
-def test_single_constraint_requires_p_equal_one():
-    problem, solve = gallery.linear_equality_problem(3, 5, 2, seed=0)
-    x = np.zeros(3)
-    sol = solve(x)
-    with pytest.raises(DimensionMismatch):
-        gradient_single_constraint(problem, x, sol.y)
-
-
 def test_single_constraint_zero_gradient_rejected():
+    # D_Y h = 0: rank repair leaves no row, so the stack is rank deficient
     problem = DeclarativeProblem(
         objective=lambda x, u: float(u @ u), input_dim=1, output_dim=2,
         eq_constraints=lambda x, u: np.array([u[0] ** 2]),
         derivatives=Derivatives(h_y=lambda x, u: np.array([[2 * u[0], 0.0]])))
-    with pytest.raises(UndefinedGradient):
-        gradient_single_constraint(problem, np.zeros(1), np.zeros(2))
+    with pytest.raises(RankDeficientConstraints):
+        gradient_equality(problem, np.zeros(1), np.zeros(2))
 
 
 def test_linear_equality_centering_projector():
     # f = 0.5||u - x||^2 with a sum constraint: the formula forces the
     # centering projector I - (1/m) 1 1'
     m = 4
+    A = np.ones((1, m))
     problem = DeclarativeProblem(
         objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
         input_dim=m, output_dim=m,
-        derivatives=Derivatives(f_yy=lambda x, u: np.eye(m),
-                                f_xy=lambda x, u: -np.eye(m)))
-    A = np.ones((1, m))
+        eq_constraints=lambda x, u: A @ u - 1.0,
+        derivatives=Derivatives(f_y=lambda x, u: u - x,
+                                f_yy=lambda x, u: np.eye(m),
+                                f_xy=lambda x, u: -np.eye(m),
+                                h_y=lambda x, u: A,
+                                h_x=lambda x, u: np.zeros((1, m)),
+                                h_yy=lambda x, u: np.zeros((1, m, m)),
+                                h_xy=lambda x, u: np.zeros((1, m, m))))
     x = np.array([0.3, -0.2, 0.6, 0.1])
     y = x - (np.sum(x) - 1.0) / m          # projection onto sum = 1
-    jac = gradient_linear_equality(problem, x, y, A)
+    jac = gradient_equality(problem, x, y)
     np.testing.assert_allclose(jac.matrix, np.eye(m) - np.ones((m, m)) / m,
                                atol=1e-12)
-
-
-def test_linear_equality_agrees_with_equality_path():
-    problem, solve = gallery.linear_equality_problem(
-        3, 6, 2, seed=10, rhs_depends_on_x=False)
-    x = np.array([0.4, -0.6, 0.2])
-    sol = solve(x)
-    A = problem.derivatives.h_y(x, sol.y)
-    a = gradient_linear_equality(problem, x, sol.y, A)
-    b = gradient_equality(problem, x, sol.y, sol.multipliers)
-    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
 
 def test_linear_equality_vs_oracle():
@@ -410,8 +389,7 @@ def test_linear_equality_vs_oracle():
         4, 6, 2, seed=11, rhs_depends_on_x=False)
     x = np.array([0.1, 0.5, -0.3, 0.2])
     sol = solve(x)
-    A = problem.derivatives.h_y(x, sol.y)
-    jac = gradient_linear_equality(problem, x, sol.y, A)
+    jac = gradient_equality(problem, x, sol.y, sol.multipliers)
     J_fd = fd_jacobian(lambda z: solve(z).y, x)
     scale = max(1.0, float(np.max(np.abs(J_fd))))
     assert np.max(np.abs(jac.matrix - J_fd)) / scale <= 1e-5
@@ -584,7 +562,124 @@ def test_build_context_pseudo_inverse_path():
     np.testing.assert_allclose(jacobian_from_context(ctx), expected, atol=1e-8)
 
 
+def _recording(derivatives, calls):
+    """derivatives with every callback appending its name to calls."""
+    def wrap(name, fn):
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorded
+    return Derivatives(**{name: wrap(name, fn)
+                          for name, fn in vars(derivatives).items()
+                          if fn is not None})
+
+
+def test_build_context_nan_x_is_a_node_error():
+    problem, _ = gallery.strongly_convex_problem(4, 3, 0)
+    calls = []
+    counted = dataclasses.replace(
+        problem, derivatives=_recording(problem.derivatives, calls))
+    x = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(UndefinedGradient,
+                       match=r"x of shape \(4,\) has 1 non-finite"):
+        build_context(counted, x, np.zeros(3))
+    assert calls == []                  # rejected before any callback ran
+
+
+def test_singular_hessian_fallback_fetches_second_derivatives_once():
+    calls = []
+    problem = DeclarativeProblem(
+        objective=lambda x, u: 0.0, input_dim=2, output_dim=2,
+        derivatives=_recording(
+            Derivatives(f_yy=lambda x, u: np.zeros((2, 2)),
+                        f_xy=lambda x, u: np.eye(2)), calls))
+    jac = gradient_unconstrained(problem, np.zeros(2), np.zeros(2))
+    assert jac.rank_deficient_fallback
+    assert sorted(calls) == ["f_xy", "f_yy"]
+
+
+def _one_apply_scenarios():
+    """name -> () -> (context, expected stack rows)."""
+    def unconstrained():
+        problem, solve = gallery.strongly_convex_problem(3, 2, seed=21)
+        x = np.array([0.3, -0.7, 0.2])
+        return build_context(problem, x, solve(x).y), 0
+
+    def equality(make, n, rows):
+        def build():
+            problem, solve = make()
+            x = np.linspace(-0.4, 0.5, n)
+            sol = solve(x)
+            return build_context(problem, x, sol.y, sol.multipliers), rows
+        return build
+
+    def disc(x, branch="constrained", rows=1):
+        def build():
+            problem, solve = gallery.disc_inequality_problem(2)
+            sol = solve(np.array(x))
+            ctx = build_context(problem, np.array(x), sol.y, sol.multipliers,
+                                zero_multiplier_branch=branch)
+            return ctx, rows
+        return build
+
+    def feasibility_square():
+        problem, solve = gallery.two_branch_problem("plus")
+        x = np.array([0.8])
+        return build_context(problem, x, solve(x).y), 1
+
+    def feasibility_one_row():
+        problem = DeclarativeProblem(
+            objective=None, input_dim=1, output_dim=2,
+            eq_constraints=lambda x, u: np.array([u[0] + u[1] - x[0]]))
+        ctx = build_context(problem, np.array([1.0]), np.array([0.5, 0.5]))
+        assert ctx.rank_deficient_fallback
+        return ctx, 1
+
+    def alignment():
+        problem, solve = gallery.spherical_alignment_problem(3)
+        x = np.array([0.7, -0.1, 0.7])
+        return build_context(problem, x, solve(x).y, path="pseudo_inverse"), 0
+
+    def wide():
+        problem, solve = gallery.wide_coupling_problem(4, 50, seed=22)
+        x = np.random.default_rng(22).normal(size=50)
+        ctx = build_context(problem, x, solve(x).y)
+        assert ctx.B is None
+        return ctx, 0
+
+    return {
+        "unconstrained": unconstrained,
+        "equality-linear": equality(
+            lambda: gallery.linear_equality_problem(4, 5, 2, seed=23), 4, 2),
+        "equality-sphere": equality(
+            lambda: gallery.sphere_equality_problem(3, 4, seed=24), 3, 1),
+        "disc-inactive": disc([0.3, 0.4], rows=0),
+        "disc-active": disc([1.2, 1.6]),
+        "disc-touching-constrained": disc([0.6, 0.8]),
+        "disc-touching-unconstrained": disc([0.6, 0.8], "unconstrained", 0),
+        "feasibility-square": feasibility_square,
+        "feasibility-one-row": feasibility_one_row,
+        "alignment-pseudo-inverse": alignment,
+        "streamed-wide": wide,
+    }
+
+
+@pytest.mark.parametrize("scenario", sorted(_one_apply_scenarios()))
+def test_one_apply_serves_every_path(scenario):
+    """Both vjp modes and v @ jacobian_from_context agree on every path, and
+    active inequality and feasibility rows live in the context's stack."""
+    ctx, rows = _one_apply_scenarios()[scenario]()
+    assert ctx.A.shape[0] == rows
+    Dy = jacobian_from_context(ctx)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        v = rng.normal(size=Dy.shape[0])
+        streamed = vjp(v, ctx, mode="stream_columns")
+        np.testing.assert_allclose(streamed, v @ Dy, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vjp(v, ctx, mode="materialize"), v @ Dy,
+                                   rtol=0, atol=1e-12)
+
+
 def test_gradient_paths_registry_is_complete():
     assert GRADIENT_PATHS == ("unconstrained", "equality", "inequality",
-                              "feasibility", "single_constraint",
-                              "linear_equality", "pseudo_inverse", "vjp")
+                              "feasibility", "pseudo_inverse", "vjp")

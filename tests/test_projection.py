@@ -6,8 +6,7 @@ import pytest
 
 from optnode.core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
                           Solution, SolverInfo, UndefinedGradient)
-from optnode.implicit_diff import (gradient_inequality,
-                                   gradient_single_constraint)
+from optnode.implicit_diff import gradient_equality, gradient_inequality
 from optnode.numdiff import FdConfig, fd_jacobian
 from optnode.projection import (Norm, ProjectionSpec, Surface, project,
                                 project_gradient, as_problem)
@@ -161,8 +160,8 @@ def test_sphere_tangency_invariant():
 
 
 def test_generic_engine_agreement_at_smooth_points():
-    """gradient_single_constraint on the declarative formulation equals the
-    closed forms where h is smooth (no ties, no zero coordinates)."""
+    """gradient_equality on the declarative formulation equals the closed
+    forms where h is smooth (no ties, no zero coordinates)."""
     cases = {
         "l1": np.array([0.9, -0.8, 0.7]),       # full support
         "l2": np.array([1.3, -0.4, 0.7]),
@@ -173,7 +172,7 @@ def test_generic_engine_agreement_at_smooth_points():
         sol = project(x, spec)
         closed = project_gradient(x, spec, sol.y)
         problem = as_problem(spec, 3)
-        engine = gradient_single_constraint(problem, x, sol.y)
+        engine = gradient_equality(problem, x, sol.y)
         np.testing.assert_allclose(engine.matrix, closed.matrix, atol=1e-8,
                                    err_msg=norm)
 
