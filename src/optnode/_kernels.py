@@ -48,29 +48,30 @@ def _penalty_sums_numpy(code, alpha, u, x):
     at residuals z_i = u - x_i.  Returns (value, d1, d2)."""
     z = u - x
     if code == QUADRATIC:
-        return 0.5 * float(z @ z), float(np.sum(z)), float(z.size)
+        return 0.5 * float(z @ z), float(np.add.reduce(z)), float(z.size)
     if code == PSEUDO_HUBER:
         t = 1.0 + (z / alpha) ** 2
         s = np.sqrt(t)
-        return (float(alpha * alpha * np.sum(s - 1.0)),
-                float(np.sum(z / s)),
-                float(np.sum(t ** -1.5)))
+        return (float(alpha * alpha * np.add.reduce(s - 1.0)),
+                float(np.add.reduce(z / s)),
+                float(np.add.reduce(t ** -1.5)))
     if code == HUBER:
         inl = np.abs(z) <= alpha
         val = np.where(inl, 0.5 * z * z, alpha * (np.abs(z) - 0.5 * alpha))
         d1 = np.where(inl, z, alpha * np.sign(z))
-        return float(np.sum(val)), float(np.sum(d1)), float(np.count_nonzero(inl))
+        return (float(np.add.reduce(val)), float(np.add.reduce(d1)),
+                float(np.count_nonzero(inl)))
     if code == WELSCH:
         a2 = alpha * alpha
         ex = np.exp(-0.5 * z * z / a2)
-        return (float(np.sum(1.0 - ex)),
-                float(np.sum(z / a2 * ex)),
-                float(np.sum((a2 - z * z) / (a2 * a2) * ex)))
+        return (float(np.add.reduce(1.0 - ex)),
+                float(np.add.reduce(z / a2 * ex)),
+                float(np.add.reduce((a2 - z * z) / (a2 * a2) * ex)))
     if code == TRUNCATED_QUADRATIC:
         inl = np.abs(z) <= alpha
         val = np.where(inl, 0.5 * z * z, 0.5 * alpha * alpha)
-        return (float(np.sum(val)),
-                float(np.sum(np.where(inl, z, 0.0))),
+        return (float(np.add.reduce(val)),
+                float(np.add.reduce(np.where(inl, z, 0.0))),
                 float(np.count_nonzero(inl)))
     raise ValueError(f"unknown penalty code {code}")
 

@@ -4,9 +4,11 @@
 
 for five penalty functions phi.  Quadratic pooling is the ordinary mean;
 the others trade efficiency for outlier resistance, controlled by alpha.
-Forward solvers are exact scalar searches (safeguarded Newton for the
-convex penalties, two-start local descent for the non-convex ones), and
-the backward pass has closed-form normalized-weight gradients.
+Forward solvers are exact scalar searches: safeguarded Newton for the
+convex penalties, and for the non-convex ones Newton with a half-quadratic
+majorise-minimise safeguard from two starts; each takes a small, bounded
+number of kernel passes.  The backward pass has closed-form
+normalized-weight gradients.
 
 Penalties, with z = u - x_i:
 
@@ -20,17 +22,19 @@ Penalties, with z = u - x_i:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import (DeclarativeProblem, Derivatives, Jacobian, Solution,
-                   SolverDiverged, SolverInfo, UndefinedGradient,
-                   STATIONARITY_TOL)
+from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
+                   Jacobian, Solution, SolverDiverged, SolverInfo,
+                   UndefinedGradient, STATIONARITY_TOL)
 
 KINK_TOL = 1e-9          # |y - x_i| within this of alpha counts as a kink
 TIE_TOL = 1e-12          # multi-start objective tie breaker
+LEVEL_RTOL = 1e-14       # relative gap in f that is level to rounding
 MAX_ITERS = 200
 
 
@@ -53,7 +57,7 @@ _CODES = {
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty selection plus robustness parameter alpha (> 0)."""
+    """Penalty selection plus robustness parameter alpha (finite, > 0)."""
 
     kind: Penalty
     alpha: float = 1.0
@@ -61,8 +65,9 @@ class PenaltySpec:
     def __post_init__(self):
         if not isinstance(self.kind, Penalty):
             object.__setattr__(self, "kind", Penalty(self.kind))
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def code(self):
@@ -74,41 +79,39 @@ _ZERO1 = np.zeros(1)
 
 def penalty_value(spec, z):
     """phi(z) for the selected penalty."""
-    v, _, _ = _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)
-    return v
+    return _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)[0]
 
 
 def penalty_d1(spec, z):
     """phi'(z).  One-sided (inner-branch) value at kinks."""
-    _, d1, _ = _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)
-    return d1
+    return _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)[1]
 
 
 def penalty_d2(spec, z):
     """phi''(z).  At |z| = alpha the inner quadratic branch is used."""
-    _, _, d2 = _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)
-    return d2
+    return _kernels.penalty_sums(spec.code, spec.alpha, float(z), _ZERO1)[2]
 
 
 def _sums(spec, u, x):
     return _kernels.penalty_sums(spec.code, spec.alpha, float(u), x)
 
 
-def _newton_bisect(spec, x, tol, max_iters):
-    """Safeguarded Newton on f'(u) = 0 over the bracket [min x, max x].
+def _newton_bisect(spec, x, lo, hi, tol, max_iters):
+    """Safeguarded Newton on f'(u) = 0 over the bracket [lo, hi] of x.
 
     The convex penalties give a nondecreasing f', so the bracket is valid
     and bisection alone would converge; Newton steps are taken whenever
-    they stay inside the shrinking bracket.
+    they stay inside the shrinking bracket.  Returns (u, iterations,
+    (f, f', f'') at u).
     """
-    lo = float(np.min(x)); hi = float(np.max(x))
     if lo == hi:
-        return lo, 0, True
+        return lo, 0, _sums(spec, lo, x)
     u = float(np.mean(x))
     for it in range(1, max_iters + 1):
-        _, d1, d2 = _sums(spec, u, x)
+        sums = _sums(spec, u, x)
+        _, d1, d2 = sums
         if abs(d1) <= tol:
-            return u, it, True
+            return u, it, sums
         if d1 > 0.0:
             hi = u
         else:
@@ -120,100 +123,88 @@ def _newton_bisect(spec, x, tol, max_iters):
         else:
             un = 0.5 * (lo + hi)
         if un == u or hi - lo <= 1e-15 * max(1.0, abs(u)):
-            return u, it, abs(d1) <= STATIONARITY_TOL
+            return u, it, sums
         u = un
-    _, d1, _ = _sums(spec, u, x)
-    return u, max_iters, abs(d1) <= STATIONARITY_TOL
-
-
-def _golden_section(spec, x, a, b, iters=120):
-    """Golden-section search for a minimum of f inside [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _sums(spec, c, x)[0]
-    fd = _sums(spec, d, x)[0]
-    for _ in range(iters):
-        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _sums(spec, c, x)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _sums(spec, d, x)[0]
-    return 0.5 * (a + b)
+    return u, max_iters, _sums(spec, u, x)
 
 
 def _local_descent(spec, x, u0, lo, hi, tol, max_iters):
-    """Damped Newton from u0, staying in [lo, hi]; golden-section fallback.
+    """Newton with a majorise-minimise (MM) safeguard from u0, in [lo, hi].
 
-    Returns (u, iterations, converged).  Descends to the local minimum of
-    the (possibly non-convex) objective nearest the start in the descent
-    direction; never jumps basins uphill.
+    Newton is taken when f'' > 0 and it lowers f (or, with f level to
+    rounding, |f'|).  Otherwise the step minimises the half-quadratic
+    majoriser of f at u (Holland & Welsch 1977; Black & Rangarajan 1996):
+    u - f'/M, M = sum_i exp(-z_i^2 / 2 alpha^2) / alpha^2 = (n - f) / alpha^2
+    for Welsch; for the truncated quadratic M = f'', so Newton is the MM
+    step.  The MM step never raises f, and it keeps doubling while f falls.
+    No step goes uphill, so the search never jumps basins uphill.  Returns
+    (u, iterations, (f, f', f'') at u).
     """
     u = min(max(float(u0), lo), hi)
-    f_u, d1, d2 = _sums(spec, u, x)
+    sums = _sums(spec, u, x)
+    it = 0
     for it in range(1, max_iters + 1):
+        f, d1, d2 = sums
         if abs(d1) <= tol:
-            return u, it, True
-        moved = False
-        if d2 > 1e-300:
-            step = -d1 / d2
-            t = 1.0
-            for _ in range(60):
-                un = min(max(u + t * step, lo), hi)
-                if un == u:
-                    break
-                f_n, d1_n, d2_n = _sums(spec, un, x)
-                if f_n < f_u or (f_n == f_u and abs(d1_n) < abs(d1)):
-                    u, f_u, d1, d2 = un, f_n, d1_n, d2_n
-                    moved = True
-                    break
-                t *= 0.5
-        if not moved:
-            # flat or uphill curvature: bracket a local minimum by walking
-            # in the descent direction, then refine by golden section
-            direction = -1.0 if d1 > 0.0 else 1.0
-            span = max(spec.alpha, (hi - lo) / max(1, x.size)) * 0.5
-            a, b = u, u
-            f_prev = f_u
-            for _ in range(80):
-                nxt = min(max(u + direction * span, lo), hi)
-                f_nxt = _sums(spec, nxt, x)[0]
-                if f_nxt >= f_prev or nxt in (lo, hi) or nxt == b:
-                    a = min(u, nxt); b = max(u, nxt)
-                    break
-                f_prev = f_nxt
-                span *= 2.0
-                b = nxt
-            u = _golden_section(spec, x, a, b)
-            f_u, d1, d2 = _sums(spec, u, x)
-            if abs(d1) <= max(tol, STATIONARITY_TOL):
-                return u, it, True
-    return u, max_iters, abs(d1) <= STATIONARITY_TOL
+            break
+        if d2 > 0.0:
+            un = min(max(u - d1 / d2, lo), hi)
+            if un != u:
+                sn = _sums(spec, un, x)
+                if sn[0] < f or (sn[0] <= f + LEVEL_RTOL * f
+                                 and abs(sn[1]) < abs(d1)):
+                    u, sums = un, sn
+                    continue
+        if spec.kind is not Penalty.WELSCH:
+            break                      # the rejected Newton step was the MM step
+        m = (x.size - f) / (spec.alpha * spec.alpha)
+        # every weight below the rounding of f: walk by alpha instead
+        step = -d1 / m if m > 0.0 else -math.copysign(spec.alpha, d1)
+        un = min(max(u + step, lo), hi)
+        if un == u:
+            break
+        sn = _sums(spec, un, x)
+        if not (sn[0] <= f or _concave_fall(sums, sn)):
+            break
+        while True:
+            step *= 2.0
+            uc = min(max(u + step, lo), hi)
+            if uc == un:
+                break
+            sc = _sums(spec, uc, x)
+            if not (sc[0] < sn[0] or _concave_fall(sn, sc)):
+                break
+            un, sn = uc, sc
+        u, sums = un, sn
+    return u, it, sums
 
 
-def _polish(spec, x, u, lo, hi):
-    """Undamped Newton on f' from an already-converged u.
+def _concave_fall(sums, sn):
+    """Both points concave with f' of one sign: f fell between them along
+    the descent direction, even where the fall is below its rounding."""
+    return sums[2] <= 0.0 and sn[2] <= 0.0 and sums[1] * sn[1] > 0.0
+
+
+def _polish(spec, x, u, sums, lo, hi):
+    """Undamped Newton on f' from an already-converged u with sums at u.
 
     Quadratic convergence drives the root to machine precision in a few
     steps, so candidates that landed in the same basin become bit-identical
-    and the multi-start tie break cannot wobble between them.
+    and the multi-start tie break cannot wobble between them.  Each step is
+    kept only if it shrinks |f'|.  Returns (u, (f, f', f'') at u).
     """
     for _ in range(8):
-        _, d1, d2 = _sums(spec, u, x)
+        _, d1, d2 = sums
         if d1 == 0.0 or not d2 > 0.0:
-            return u
+            break
         un = min(max(u - d1 / d2, lo), hi)
         if un == u:
-            return u
-        if abs(_sums(spec, un, x)[1]) >= abs(d1):
-            return u
-        u = un
-    return u
+            break
+        sn = _sums(spec, un, x)
+        if abs(sn[1]) >= abs(d1):
+            break
+        u, sums = un, sn
+    return u, sums
 
 
 def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
@@ -221,51 +212,54 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
 
     Quadratic is the closed-form mean.  PseudoHuber/Huber are convex and
     solved globally by safeguarded Newton.  Welsch/TruncatedQuadratic run
-    local descent from both the mean and the median and keep the lower
-    local minimum; an objective tie within 1e-12 breaks toward smaller y.
+    Newton with the majorise-minimise safeguard from both the mean and the
+    median and keep the lower local minimum; an objective tie within 1e-12
+    breaks toward smaller y.  The solvers return the (f, f', f'') they last
+    computed, which give the objectives and the stationarity check without
+    another kernel pass.  Non-finite x raises InfeasibleProblem first.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 1:
         raise ValueError("robust_pool needs at least one value")
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
+    lo = float(np.min(x)); hi = float(np.max(x))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        raise InfeasibleProblem(
+            f"pooling input has {bad} non-finite of n={x.size} entries "
+            f"(penalty={spec.kind.value}, alpha={spec.alpha})")
 
     restarts = 0
     if spec.kind is Penalty.QUADRATIC:
-        y, iters, converged = float(np.mean(x)), 0, True
+        y, iters = float(np.mean(x)), 0
+        sums = _sums(spec, y, x)
     elif spec.kind in (Penalty.PSEUDO_HUBER, Penalty.HUBER):
-        y, iters, converged = _newton_bisect(spec, x, tol, max_iters)
-        y = _polish(spec, x, y, float(np.min(x)), float(np.max(x)))
-        if not converged:
-            converged = abs(_sums(spec, y, x)[1]) <= max(tol, STATIONARITY_TOL)
+        u, iters, sums = _newton_bisect(spec, x, lo, hi, tol, max_iters)
+        y, sums = _polish(spec, x, u, sums, lo, hi)
     else:
-        lo = float(np.min(x)); hi = float(np.max(x))
         cands = []
         iters = 0
         for u0 in (float(np.mean(x)), float(np.median(x))):
-            u, it, ok = _local_descent(spec, x, u0, lo, hi, tol, max_iters)
-            u = _polish(spec, x, u, lo, hi)
-            if not ok:
-                # the descent loop can stall a few ulps short of its own
-                # tolerance; what matters is where the polish landed
-                ok = abs(_sums(spec, u, x)[1]) <= max(tol, STATIONARITY_TOL)
-            cands.append((u, _sums(spec, u, x)[0], ok))
+            u, it, sums = _local_descent(spec, x, u0, lo, hi, tol, max_iters)
+            cands.append(_polish(spec, x, u, sums, lo, hi))
             iters += it
-        (ya, fa, oka), (yb, fb, okb) = cands
-        if abs(fa - fb) <= TIE_TOL:
-            y, converged = (ya, oka) if ya <= yb else (yb, okb)
-        elif fa < fb:
-            y, converged = ya, oka
+        (ya, sa), (yb, sb) = cands
+        if abs(sa[0] - sb[0]) <= TIE_TOL:
+            y, sums = cands[0] if ya <= yb else cands[1]
         else:
-            y, converged = yb, okb
+            y, sums = cands[0] if sa[0] < sb[0] else cands[1]
         restarts = 1
-    if not converged:
-        d1 = _sums(spec, y, x)[1]
+    # the polish only ever shrinks |f'|, so a solver that stalled a few
+    # ulps short of tol is judged by where the polish landed
+    if spec.kind is not Penalty.QUADRATIC and not (
+            abs(sums[1]) <= max(tol, STATIONARITY_TOL)):
         raise SolverDiverged(
-            f"pooling stalled at |f'| = {abs(d1):.3e} after {iters} iterations "
-            f"(n={x.size}, penalty={spec.kind.value}, alpha={spec.alpha})")
+            f"pooling stalled at |f'| = {abs(sums[1]):.3e} after {iters} "
+            f"iterations (n={x.size}, penalty={spec.kind.value}, "
+            f"alpha={spec.alpha})")
     return Solution(y=np.array([y]), multipliers=np.zeros(0),
                     active_set=np.zeros(0, dtype=bool),
-                    objective_value=_sums(spec, y, x)[0],
+                    objective_value=sums[0],
                     solver_info=SolverInfo(iterations=iters, converged=True,
                                            restarts=restarts))
 
@@ -279,13 +273,18 @@ def robust_pool_gradient(x, spec, y):
         welsch               w_i = (alpha^2 - (y-x_i)^2)/alpha^4 * exp(...)
 
     Welsch weights are scaled by the largest exponent before normalization
-    so they stay representable.  A zero (or fully cancelling) weight sum
-    raises UndefinedGradient.  one_sided is set when y sits on a Huber or
+    so they stay representable.  A non-finite x or y, or a zero (or fully
+    cancelling) weight sum, raises UndefinedGradient.  one_sided is set when y sits on a Huber or
     TruncatedQuadratic kink (|y - x_i| = alpha within 1e-9).
     """
     x = np.asarray(x, dtype=float).ravel()
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
     y = float(np.asarray(y, dtype=float).ravel()[0]) if np.ndim(y) else float(y)
+    if not (math.isfinite(y) and np.all(np.isfinite(x))):
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        raise UndefinedGradient(
+            f"non-finite pooling point: y={y}, {bad} non-finite of n={x.size} "
+            f"entries of x (penalty={spec.kind.value}, alpha={spec.alpha})")
     w, wsum = _kernels.penalty_weights(spec.code, spec.alpha, y, x)
     if wsum == 0.0 or abs(wsum) <= 1e-12 * float(np.sum(np.abs(w))):
         raise UndefinedGradient(

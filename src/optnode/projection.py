@@ -17,6 +17,7 @@ by r).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class ProjectionSpec:
             object.__setattr__(self, "norm", Norm(self.norm))
         if not isinstance(self.surface, Surface):
             object.__setattr__(self, "surface", Surface(self.surface))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius}")
 
 
 def _norm(z, norm):

@@ -7,6 +7,17 @@ here from the session timer rather than inside a test."""
 import re
 import time
 
+try:
+    from hypothesis import settings
+except ImportError:      # hypothesis is a test extra; its tests skip without it
+    pass
+else:
+    # Fixed examples and no per-example deadline: the property tests draw
+    # the same cases on every run and do not fail on a slow machine.
+    settings.register_profile("optnode", derandomize=True, deadline=None,
+                              database=None)
+    settings.load_profile("optnode")
+
 _SUITE_T0 = time.perf_counter()
 _SUITE_BUDGET_S = 120.0
 _PATTERN = re.compile(r"test_criterion_(\d+)")

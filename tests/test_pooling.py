@@ -4,18 +4,19 @@ closed forms and the generic engine."""
 import numpy as np
 import pytest
 
-from optnode.core import UndefinedGradient
+from optnode import _kernels
+from optnode.cli import STUDY_FRACTIONS, main
+from optnode.core import InfeasibleProblem, UndefinedGradient
 from optnode.implicit_diff import gradient_unconstrained
 from optnode.numdiff import fd_jacobian
-from optnode.pooling import (Penalty, PenaltySpec, as_problem, penalty_value,
-                             robust_pool, robust_pool_gradient)
+from optnode.pooling import (MAX_ITERS, Penalty, PenaltySpec, as_problem,
+                             penalty_value, robust_pool, robust_pool_gradient)
 
 ALL_KINDS = ["quadratic", "pseudo_huber", "huber", "welsch",
              "truncated_quadratic"]
 
 
 def _objective(spec, u, x):
-    from optnode import _kernels
     return _kernels.penalty_sums(spec.code, spec.alpha, float(u),
                                  np.asarray(x, dtype=float))[0]
 
@@ -49,8 +50,12 @@ def _grid_search(spec, x, lo, hi, step=1e-4, on_grid=None):
 
 
 def test_spec_validates_alpha():
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            PenaltySpec("huber", alpha=bad)
     with pytest.raises(ValueError):
-        PenaltySpec("huber", alpha=0.0)
+        robust_pool(np.array([1.0, 2.0]),
+                    PenaltySpec("pseudo_huber", float("inf")))
     assert PenaltySpec("welsch").kind is Penalty.WELSCH
 
 
@@ -248,3 +253,82 @@ def test_multistart_picks_lower_minimum():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         robust_pool(np.zeros(0), PenaltySpec("quadratic"))
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Counts calls of the penalty-sum kernel (one call is one pass)."""
+    calls = []
+    inner = _kernels.penalty_sums
+
+    def counted(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(_kernels, "penalty_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_nonfinite_input_raises_before_any_pass(kind, bad, kernel_passes):
+    x = np.array([0.0, 1.0, bad])
+    spec = PenaltySpec(kind, alpha=1.0)
+    with pytest.raises(InfeasibleProblem, match=r"1 non-finite of n=3"):
+        robust_pool(x, spec)
+    assert kernel_passes == []
+    with pytest.raises(UndefinedGradient):
+        robust_pool_gradient(x, spec, 0.5)
+    with pytest.raises(UndefinedGradient):
+        robust_pool_gradient(x[:2], spec, bad)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_cli_pool_nonfinite_input_is_domain_error(kind, capsys):
+    code = main(["pool", "--values", "0,1,inf", "--penalty", kind,
+                 "--alpha", "1"])
+    assert code == 1
+    assert "InfeasibleProblem" in capsys.readouterr().err
+
+
+def _study_draw(seed, fraction, points=100, sigma=0.1):
+    """The array run_study pools for trial `seed` at `fraction`."""
+    rng = np.random.default_rng([seed, 0])
+    mu = float(rng.uniform(-1.0, 1.0))
+    for f in STUDY_FRACTIONS:
+        n_out = int(round(f * points))
+        x = np.concatenate([mu + sigma * rng.standard_normal(points - n_out),
+                            rng.uniform(-1.0, 1.0, n_out)])
+        if f == fraction:
+            return x
+    raise ValueError(fraction)
+
+
+@pytest.mark.parametrize("seed, fraction", [(327, 0.2), (355, 0.9)])
+def test_welsch_passes_are_bounded_on_hard_study_draws(seed, fraction,
+                                                       kernel_passes):
+    """Study draws on which a Newton step next to the minimum raises f by
+    its rounding; a safeguard that then hunts for a lower f by halving,
+    bracketing and golden section spends 1814 and 1488 passes on them."""
+    x = _study_draw(seed, fraction)
+    spec = PenaltySpec("welsch", alpha=0.5)
+    sol = robust_pool(x, spec)
+    assert len(kernel_passes) <= 60
+    assert sol.solver_info.iterations < MAX_ITERS
+    y = float(sol.y[0])
+    local = _grid_search(spec, x, y - 0.05, y + 0.05, step=1e-5)
+    assert abs(y - local) <= 1e-6
+
+
+def test_welsch_start_where_every_weight_is_below_rounding(kernel_passes):
+    """At the mean of [0, 0, 2.6e-5] with alpha = 1e-6 the Welsch weights
+    (about 1e-16) vanish in the rounding of f = n - sum exp(.), so the
+    majoriser curvature (n - f) / alpha^2 reads 0 while f' is still 8e-10."""
+    x = np.array([0.0, 0.0, 2.6e-5])
+    spec = PenaltySpec("welsch", alpha=1e-6)
+    assert _kernels.penalty_sums(spec.code, spec.alpha, float(np.mean(x)),
+                                 x)[0] == x.size
+    kernel_passes.clear()
+    sol = robust_pool(x, spec)
+    assert abs(sol.y[0]) <= 1e-9
+    assert len(kernel_passes) <= 20

@@ -33,6 +33,12 @@ def test_spec_rejects_nonpositive_radius():
         ProjectionSpec("l2", radius=0.0)
 
 
+def test_spec_rejects_infinite_radius():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ProjectionSpec("l2", radius=bad)
+
+
 def test_l2_sphere_normalizes():
     sol = project(np.array([3.0, 4.0]), ProjectionSpec("l2"))
     np.testing.assert_allclose(sol.y, [0.6, 0.8], atol=1e-15)
