@@ -25,7 +25,7 @@ from .implicit_diff import (AllocationCounter, GRADIENT_PATHS,
 from .pooling import (Penalty, PenaltySpec, penalty_d1, penalty_d2,
                       penalty_value, robust_pool, robust_pool_gradient)
 from .projection import (Norm, ProjectionSpec, Surface, project,
-                         project_gradient)
+                         project_gradient, project_vjp)
 from .compose import (BilevelTask, DeclarativeNode, ImperativeNode, Node,
                       NodeChain, PoolingNode, ProjectionNode, TrainResult,
                       bilevel_train)
@@ -46,6 +46,7 @@ __all__ = [
     "gradient_equality", "gradient_feasibility", "gradient_inequality",
     "gradient_unconstrained", "jacobian_from_context", "penalty_d1",
     "penalty_d2", "penalty_value", "project", "project_gradient",
-    "pseudo_inverse_descent", "recover_multipliers", "robust_pool",
-    "robust_pool_gradient", "solution_residuals", "validate_problem", "vjp",
+    "project_vjp", "pseudo_inverse_descent", "recover_multipliers",
+    "robust_pool", "robust_pool_gradient", "solution_residuals",
+    "validate_problem", "vjp",
 ]

@@ -5,7 +5,8 @@ Chains validate adjacent dimensions, cache every intermediate Solution on
 the forward pass, and run the backward pass as right-to-left VJPs so no
 intermediate Jacobian product is ever materialized unless asked for.  A
 declarative node's vjp applies the streamed formula of
-implicit_diff.vjp, so its own Dy is never formed either.
+implicit_diff.vjp, and a projection node's vjp applies
+projection.project_vjp, so neither forms its own Dy either.
 
 bilevel_train drives full-batch gradient descent of an upper objective
 J(theta, y(theta)) through a lower declarative node.  When the upper
@@ -147,9 +148,10 @@ class ProjectionNode(Node):
         return jac
 
     def vjp(self, v, x, solution):
-        jac = self.jacobian(x, solution)
+        out, self.last_one_sided = projection.project_vjp(
+            v, x, self.spec, solution.y)
         self.vjp_count += 1
-        return np.asarray(v, dtype=float) @ jac.matrix
+        return out
 
 
 class NodeChain:

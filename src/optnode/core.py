@@ -95,10 +95,11 @@ def _freeze(a):
 class Derivatives:
     """Optional analytic derivative callbacks for a problem.
 
-    Each callback takes (x, y) and returns an array with the shape noted
-    below (n = input dim, m = output dim, p = equality rows, q = inequality
-    rows).  Any subset may be provided; the gradient engine falls back to
-    finite differences for the rest.
+    Each callback takes (x, y), or (x, y, lam) for the curvature
+    callbacks, and returns an array with the shape noted below (n = input
+    dim, m = output dim, p = equality rows, q = inequality rows).  Any
+    subset may be provided; the gradient engine falls back to finite
+    differences for the rest.
 
     f_y : (m,)          first derivative of the objective in u
     f_yy : (m, m)       second derivative of the objective in u
@@ -110,9 +111,17 @@ class Derivatives:
                         block, so f_xy is never stored whole.
     h_y : (p, m)        constraint Jacobian in u
     h_x : (p, n)        constraint Jacobian in x
-    h_yy : (p, m, m)    per-constraint second derivatives in u
-    h_xy : (p, m, n)    per-constraint mixed second derivatives
-    g_y, g_x, g_yy, g_xy : same, for inequality constraints (q rows)
+    h_yy : (x, y, lam) -> (m, m)   the multiplier-weighted curvature
+                        sum_i lam_i D2_YY h_i for lam of length p
+    h_xy : (x, y, lam) -> (m, n)   the mixed analogue sum_i lam_i D2_XY h_i
+    g_y, g_x, g_yy, g_xy : same, for inequality constraints (q rows); lam
+                        has length q with zeros on the inactive rows
+
+    Constraint curvature enters the Lagrangian Hessian only through these
+    sums (the Lagrangian-Hessian contract of Ipopt), so a callback never
+    returns per-row blocks: a linear constraint returns zeros of one
+    (m, m) or (m, n) size, and the engine skips a family whose
+    multipliers are all zero without calling it.
     """
 
     f_y: Optional[Callable] = None
@@ -269,15 +278,18 @@ def validate_problem(problem, x=None, u=None):
 
     d = problem.derivatives
     if d is not None:
-        checks = [("f_y", d.f_y, (m,)), ("f_yy", d.f_yy, (m, m)), ("f_xy", d.f_xy, (m, n)),
-                  ("h_y", d.h_y, (p, m)), ("h_x", d.h_x, (p, n)),
-                  ("h_yy", d.h_yy, (p, m, m)), ("h_xy", d.h_xy, (p, m, n)),
-                  ("g_y", d.g_y, (q, m)), ("g_x", d.g_x, (q, n)),
-                  ("g_yy", d.g_yy, (q, m, m)), ("g_xy", d.g_xy, (q, m, n))]
-        for name, fn, want in checks:
+        # the curvature callbacks are probed with unit multipliers
+        lam_h, lam_g = (x, u, np.ones(p)), (x, u, np.ones(q))
+        checks = [("f_y", d.f_y, (x, u), (m,)), ("f_yy", d.f_yy, (x, u), (m, m)),
+                  ("f_xy", d.f_xy, (x, u), (m, n)),
+                  ("h_y", d.h_y, (x, u), (p, m)), ("h_x", d.h_x, (x, u), (p, n)),
+                  ("h_yy", d.h_yy, lam_h, (m, m)), ("h_xy", d.h_xy, lam_h, (m, n)),
+                  ("g_y", d.g_y, (x, u), (q, m)), ("g_x", d.g_x, (x, u), (q, n)),
+                  ("g_yy", d.g_yy, lam_g, (m, m)), ("g_xy", d.g_xy, lam_g, (m, n))]
+        for name, fn, args, want in checks:
             if fn is None:
                 continue
-            _probe_shape(name, np.asarray(fn(x, u), dtype=float), want)
+            _probe_shape(name, np.asarray(fn(*args), dtype=float), want)
         if d.b_columns is not None:
             cols = np.arange(min(n, 2))
             _probe_shape("b_columns", np.asarray(d.b_columns(x, u, cols), dtype=float),

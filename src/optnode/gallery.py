@@ -119,8 +119,8 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
         f_y=f_y, f_yy=f_yy, f_xy=f_xy,
         h_y=lambda x, u: A,
         h_x=lambda x, u: -P,
-        h_yy=lambda x, u: np.zeros((n_constraints, output_dim, output_dim)),
-        h_xy=lambda x, u: np.zeros((n_constraints, output_dim, input_dim)))
+        h_yy=lambda x, u, lam: np.zeros((output_dim, output_dim)),
+        h_xy=lambda x, u, lam: np.zeros((output_dim, input_dim)))
     problem = DeclarativeProblem(
         objective=value, input_dim=input_dim, output_dim=output_dim,
         eq_constraints=lambda x, u: A @ u - (P @ x + d),
@@ -172,8 +172,8 @@ def sphere_equality_problem(input_dim, output_dim, seed):
         f_y=f_y, f_yy=f_yy, f_xy=f_xy,
         h_y=lambda x, u: u[None, :],
         h_x=lambda x, u: np.zeros((1, input_dim)),
-        h_yy=lambda x, u: np.eye(m)[None, :, :],
-        h_xy=lambda x, u: np.zeros((1, m, input_dim)))
+        h_yy=lambda x, u, lam: lam[0] * np.eye(m),
+        h_xy=lambda x, u, lam: np.zeros((m, input_dim)))
     problem = DeclarativeProblem(
         objective=value, input_dim=input_dim, output_dim=output_dim,
         eq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
@@ -250,8 +250,8 @@ def disc_inequality_problem(dim):
         f_xy=lambda x, u: -np.eye(n),
         g_y=lambda x, u: u[None, :],
         g_x=lambda x, u: np.zeros((1, n)),
-        g_yy=lambda x, u: np.eye(n)[None, :, :],
-        g_xy=lambda x, u: np.zeros((1, n, n)))
+        g_yy=lambda x, u, lam: lam[0] * np.eye(n),
+        g_xy=lambda x, u, lam: np.zeros((n, n)))
     problem = DeclarativeProblem(
         objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
         input_dim=n, output_dim=n,
@@ -284,8 +284,8 @@ def circle_equality_problem(dim):
         f_xy=lambda x, u: -np.eye(n),
         h_y=lambda x, u: u[None, :],
         h_x=lambda x, u: np.zeros((1, n)),
-        h_yy=lambda x, u: np.eye(n)[None, :, :],
-        h_xy=lambda x, u: np.zeros((1, n, n)))
+        h_yy=lambda x, u, lam: lam[0] * np.eye(n),
+        h_xy=lambda x, u, lam: np.zeros((n, n)))
     problem = DeclarativeProblem(
         objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
         input_dim=n, output_dim=n,
@@ -328,8 +328,8 @@ def spherical_alignment_problem(dim):
         f_y=f_y, f_yy=f_yy, f_xy=f_xy,
         h_y=lambda x, u: u[None, :],
         h_x=lambda x, u: np.zeros((1, n)),
-        h_yy=lambda x, u: np.eye(n)[None, :, :],
-        h_xy=lambda x, u: np.zeros((1, n, n)))
+        h_yy=lambda x, u, lam: lam[0] * np.eye(n),
+        h_xy=lambda x, u, lam: np.zeros((n, n)))
     problem = DeclarativeProblem(
         objective=lambda x, u: float(-(x @ u) / np.linalg.norm(u)),
         input_dim=n, output_dim=n,
@@ -355,8 +355,8 @@ def two_branch_problem(branch="plus"):
     derivs = Derivatives(
         h_y=lambda x, u: np.array([[2.0 * (u[0] - 1.0)]]),
         h_x=lambda x, u: np.array([[-2.0 * x[0]]]),
-        h_yy=lambda x, u: np.array([[[2.0]]]),
-        h_xy=lambda x, u: np.zeros((1, 1, 1)))
+        h_yy=lambda x, u, lam: np.array([[2.0 * lam[0]]]),
+        h_xy=lambda x, u, lam: np.zeros((1, 1)))
     problem = DeclarativeProblem(
         objective=None, input_dim=1, output_dim=1,
         eq_constraints=lambda x, u: np.array([(u[0] - 1.0) ** 2 - x[0] ** 2]),

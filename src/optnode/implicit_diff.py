@@ -16,12 +16,15 @@ gradient_unconstrained / _equality / _inequality / _feasibility and
 pseudo_inverse_descent strip what they ignore and materialize one context.
 
 Second derivatives come from analytic callbacks when the problem carries
-them and from numdiff otherwise.  vjp() evaluates v^T Dy(x) left-to-right;
-an empty stack streams B in blocks of max(1, n // m) columns from the
-problem's b_columns callback, one callback and one product per block, so
-the full matrix is never stored.  H is factored once per context
-(Cholesky, LU when that fails); its condition gate reads LAPACK's
-estimate on that factor rather than an SVD.
+them and from numdiff otherwise.  Constraint curvature is fetched already
+contracted with the multipliers (the h_yy / h_xy / g_yy / g_xy callbacks
+take lam and return one (m, m) or (m, n) sum), and a family whose
+multipliers are all zero is skipped.  vjp() evaluates v^T Dy(x)
+left-to-right; an empty stack streams B in blocks of max(1, n // m)
+columns from the problem's b_columns callback, one callback and one
+product per block, so the full matrix is never stored.  H is factored
+once per context (Cholesky, LU when that fails); its condition gate reads
+LAPACK's estimate on that factor rather than an SVD.
 """
 
 from __future__ import annotations
@@ -186,24 +189,28 @@ def _constraint_first(problem, x, y, which):
     return np.atleast_2d(A), np.atleast_2d(C)
 
 
-def _constraint_second(problem, x, y, which):
-    """Per-row (yy, xy) second-derivative blocks for 'h' or 'g'."""
+def _constraint_curvature(problem, x, y, which, lam):
+    """(sum_i lam_i D2_YY c_i, sum_i lam_i D2_XY c_i) over the 'h' or 'g'
+    rows c_i, shapes (m, m) and (m, n).
+
+    Analytic callbacks receive lam and return the sums; a missing one is
+    contracted from numdiff's per-row blocks.
+    """
     d = problem.derivatives
     yy_cb = getattr(d, which + "_yy", None) if d is not None else None
     xy_cb = getattr(d, which + "_xy", None) if d is not None else None
-    if yy_cb is not None and xy_cb is not None:
-        return (np.asarray(yy_cb(x, y), dtype=float),
-                np.asarray(xy_cb(x, y), dtype=float))
-    keep = {"eq_constraints": None, "ineq_constraints": None, "objective": None}
-    key = "eq_constraints" if which == "h" else "ineq_constraints"
-    keep[key] = getattr(problem, key)
-    stripped = dataclasses.replace(problem, **keep)
-    fdb = numdiff.fd_hessian_blocks(stripped, x, y)
-    yy, xy = (fdb.h_yy, fdb.h_xy) if which == "h" else (fdb.g_yy, fdb.g_xy)
-    if yy_cb is not None:
-        yy = np.asarray(yy_cb(x, y), dtype=float)
-    if xy_cb is not None:
-        xy = np.asarray(xy_cb(x, y), dtype=float)
+    if yy_cb is None or xy_cb is None:
+        keep = {"eq_constraints": None, "ineq_constraints": None,
+                "objective": None}
+        key = "eq_constraints" if which == "h" else "ineq_constraints"
+        keep[key] = getattr(problem, key)
+        fdb = numdiff.fd_hessian_blocks(dataclasses.replace(problem, **keep),
+                                        x, y)
+        rows = (fdb.h_yy, fdb.h_xy) if which == "h" else (fdb.g_yy, fdb.g_xy)
+    yy = (np.asarray(yy_cb(x, y, lam), dtype=float) if yy_cb is not None
+          else np.tensordot(lam, rows[0], axes=1))
+    xy = (np.asarray(xy_cb(x, y, lam), dtype=float) if xy_cb is not None
+          else np.tensordot(lam, rows[1], axes=1))
     return yy, xy
 
 
@@ -371,16 +378,14 @@ def build_context(problem, x, y, multipliers=None, path="auto",
         H, B = np.eye(m), np.zeros((m, n))
     else:
         H, B = _objective_blocks(problem, x, y, with_b=not stream)
-    nz = np.flatnonzero(lam).tolist()
-    if nz:
-        h2 = _constraint_second(problem, x, y, "h") if nz[0] < p else None
-        g2 = _constraint_second(problem, x, y, "g") if nz[-1] >= p else None
-        # own copies for the in-place updates: B may be the callback's array
-        H, B = H.copy(), B.copy()
-        for i in nz:
-            (yy, xy), row = (h2, i) if i < p else (g2, act[i - p])
-            H -= lam[i] * yy[row]
-            B -= lam[i] * xy[row]
+    lam_g = np.zeros(q)
+    lam_g[act] = lam[p:]
+    curved = False
+    for which, lam_c in (("h", lam[:p]), ("g", lam_g)):
+        if lam_c.any():
+            yy, xy = _constraint_curvature(problem, x, y, which, lam_c)
+            H, B, curved = H - yy, B - xy, True
+    if curved:
         H = 0.5 * (H + H.T)
 
     pinv = path == "pseudo_inverse"

@@ -216,7 +216,9 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
     median and keep the lower local minimum; an objective tie within 1e-12
     breaks toward smaller y.  The solvers return the (f, f', f'') they last
     computed, which give the objectives and the stationarity check without
-    another kernel pass.  Non-finite x raises InfeasibleProblem first.
+    another kernel pass.  Non-finite x raises InfeasibleProblem first; a
+    finite x whose y or objective_value overflows (or turns NaN) raises
+    SolverDiverged.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 1:
@@ -249,6 +251,11 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
         else:
             y, sums = cands[0] if sa[0] < sb[0] else cands[1]
         restarts = 1
+    if not (math.isfinite(y) and math.isfinite(sums[0])):
+        raise SolverDiverged(
+            f"pooling overflowed: y = {y!r}, objective = {sums[0]!r} "
+            f"(n={x.size}, penalty={spec.kind.value}, alpha={spec.alpha}, "
+            f"max|x| = {max(-lo, hi):.3e})")
     # the polish only ever shrinks |f'|, so a solver that stalled a few
     # ulps short of tol is judged by where the polish landed
     if spec.kind is not Penalty.QUADRATIC and not (

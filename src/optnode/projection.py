@@ -8,6 +8,8 @@ sort-and-threshold simplex projection for L1, coordinate clamping for
 Linf.  Gradients are the closed forms I - a a^T / (a^T a) with
 a = (D_Y h)^T, plus masked variants that zero the plateau dimensions and
 thereby match what numerical differentiation of the solver produces.
+Each is diag(d) - c a a^T, so project_vjp applies one in O(n) without
+forming the n x n matrix.
 
 Radius != 1 is handled by the exact scaling reduction: project x/r onto
 the unit object and rescale (gradients are unaffected, multipliers scale
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
-                   Jacobian, Solution, SolverInfo, UndefinedGradient)
+from .core import (DeclarativeProblem, Derivatives, DimensionMismatch,
+                   InfeasibleProblem, Jacobian, Solution, SolverInfo,
+                   UndefinedGradient)
 
 TIE_TOL = 1e-9        # Linf largest-magnitude tie detection
 BOUNDARY_RTOL = 1e-9  # ball boundary detection, relative to radius
@@ -57,9 +60,21 @@ class ProjectionSpec:
                 f"radius must be positive and finite, got {self.radius}")
 
 
+def _l2(z):
+    """(||z||_2, z / ||z||_2), computed on z / max|z| so that squaring an
+    entry can neither underflow nor overflow; the direction is None at
+    z = 0."""
+    s = float(np.max(np.abs(z))) if z.size else 0.0
+    if s == 0.0:
+        return 0.0, None
+    u = z / s
+    nu = float(np.linalg.norm(u))
+    return s * nu, u / nu
+
+
 def _norm(z, norm):
     if norm is Norm.L2:
-        return float(np.linalg.norm(z))
+        return _l2(z)[0]
     if norm is Norm.L1:
         return float(np.sum(np.abs(z)))
     return float(np.max(np.abs(z))) if z.size else 0.0
@@ -74,25 +89,34 @@ def _sign_out(z):
 
 
 def _simplex_project(v, total):
-    """Project nonnegative v onto the simplex {w >= 0, sum w = total} by
-    the sort-and-threshold rule.  O(n log n); output is exact."""
+    """Project nonnegative v (not all zero) onto the simplex
+    {w >= 0, sum w = total} by the sort-and-threshold rule.  O(n log n).
+
+    Works on v / max(v), so the running sums cannot overflow.  The
+    threshold index rho is the last j with j u_j - sum_{i<=j} u_i + total
+    > 0 over the sorted u, which holds exactly at j = 1, and each kept
+    entry is (total - (sum_{i<=rho} u_i - rho v_k)) / rho: when total is
+    below the rounding of v the ties at the top still share it instead of
+    cancelling to zero.
+    """
+    s = float(np.max(v))
+    v, total = v / s, total / s
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
+    css = np.cumsum(u)
     j = np.arange(1, v.size + 1)
-    rho = np.max(np.flatnonzero(u - css / j > 0.0)) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    rho = int(np.flatnonzero(j * u - css + total > 0.0)[-1]) + 1
+    return s * np.maximum((total - (css[rho - 1] - rho * v)) / rho, 0.0)
 
 
 def _unit_sphere_project(z, norm):
     """Projection of z onto the unit p-sphere; returns (w, lam)."""
     if norm is Norm.L2:
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
+        nz, w = _l2(z)
+        if w is None:
             raise InfeasibleProblem(
                 f"L2 sphere projection of x = 0 (solution set is the entire "
                 f"sphere), n={z.size}")
-        return z / nz, 1.0 - nz
+        return w, 1.0 - nz
     if norm is Norm.L1:
         s = float(np.sum(np.abs(z)))
         if s >= 1.0:
@@ -123,12 +147,23 @@ def project(x, spec):
     Sphere solutions carry the single equality multiplier; ball solutions
     carry the single inequality multiplier (zero when inactive) and the
     active_set flag.  L2-sphere projection of x = 0 is infeasible (the
-    solution set is the whole sphere).
+    solution set is the whole sphere), and so is an x with a non-finite
+    entry, or one whose x / radius overflows; both raise InfeasibleProblem
+    before any work.  y is finite for every accepted x; the multiplier and
+    objective_value may overflow to inf when ||x|| nears the float range,
+    as their exact values do.
     """
     x = np.asarray(x, dtype=float).ravel()
     spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
     r = spec.radius
-    z = x / r
+    with np.errstate(over="ignore"):
+        z = x / r
+    if not np.isfinite(z).all():
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        raise InfeasibleProblem(
+            f"projection input has {bad} non-finite of n={x.size} entries"
+            if bad else f"x / radius overflows for n={x.size} "
+            f"(max|x| = {float(np.max(np.abs(x))):.3e}, radius={r})")
     if spec.surface is Surface.SPHERE:
         w, lam = _unit_sphere_project(z, spec.norm)
         y = r * w
@@ -152,20 +187,25 @@ def project(x, spec):
 
 
 def _sphere_gradient(z, w, norm, masked):
+    """(d, c, a) with the sphere Jacobian diag(d) - c a a^T."""
     n = z.size
     if norm is Norm.L2:
-        nz = float(np.linalg.norm(z))
+        nz = _l2(z)[0]
         if nz == 0.0:
             raise UndefinedGradient(f"L2 gradient undefined at x = 0, n={n}")
-        return (np.eye(n) - np.outer(w, w)) / nz
+        c = 1.0 / nz
+        if not math.isfinite(c):
+            raise UndefinedGradient(
+                f"L2 gradient scale 1/||x|| overflows at ||x|| = {nz:.3e}, "
+                f"n={n}")
+        return np.full(n, c), c, w
     if norm is Norm.L1:
         a = np.sign(w)              # sign(0) = 0: plateau dimensions
         ata = float(a @ a)
-        D = np.eye(n) - np.outer(a, a) / ata
-        if masked:
-            # mask with p p^T, p = |a| boolean: zero rows/cols off the support
-            D = np.diag(np.abs(a)) - np.outer(a, a) / ata
-        return D
+        if ata == 0.0:
+            raise UndefinedGradient(f"L1 constraint gradient vanished, n={n}")
+        # masked: zero the rows and columns off the support |a|
+        return (np.abs(a) if masked else np.ones(n)), 1.0 / ata, a
     # Linf
     amax = float(np.max(np.abs(w)))
     tie = np.abs(w) >= amax - TIE_TOL
@@ -173,8 +213,32 @@ def _sphere_gradient(z, w, norm, masked):
     if not np.any(a):
         raise UndefinedGradient(f"Linf constraint gradient vanished, n={n}")
     if masked:
-        return np.eye(n) - np.diag(np.abs(a))
-    return np.eye(n) - np.outer(a, a) / float(a @ a)
+        return 1.0 - np.abs(a), 0.0, a
+    return np.ones(n), 1.0 / float(a @ a), a
+
+
+def _gradient_structure(x, spec, y):
+    """(d, c, a, one_sided): the projection Jacobian is diag(d) - c a a^T."""
+    x = np.asarray(x, dtype=float).ravel()
+    spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
+    y = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise UndefinedGradient(
+            f"non-finite projection point: "
+            f"{x.size - int(np.count_nonzero(np.isfinite(x)))} non-finite of "
+            f"n={x.size} entries of x, "
+            f"{y.size - int(np.count_nonzero(np.isfinite(y)))} of y")
+    z = x / spec.radius
+    w = y / spec.radius
+    if spec.surface is Surface.SPHERE:
+        return (*_sphere_gradient(z, w, spec.norm, spec.masked_gradient),
+                False)
+    nz = _norm(z, spec.norm)
+    if nz < 1.0 - BOUNDARY_RTOL:
+        zero = np.zeros(x.size)
+        return zero, 0.0, zero, False
+    return (*_sphere_gradient(z, w, spec.norm, spec.masked_gradient),
+            abs(nz - 1.0) <= BOUNDARY_RTOL)
 
 
 def project_gradient(x, spec, y):
@@ -186,21 +250,29 @@ def project_gradient(x, spec, y):
     agree with one-sided numerical differentiation of the solver.  Ball:
     exact zero strictly inside, sphere form outside; on the boundary
     (within 1e-9 relative) the sphere form is returned with
-    one_sided = true.
+    one_sided = true.  Every form is diag(d) - c a a^T, materialized here;
+    project_vjp applies the same structure without forming it.  A
+    non-finite x or y, or an L2 scale 1/||x|| beyond the float range,
+    raises UndefinedGradient.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
-    y = np.asarray(y, dtype=float).ravel()
-    z = x / spec.radius
-    w = y / spec.radius
-    if spec.surface is Surface.SPHERE:
-        return Jacobian(_sphere_gradient(z, w, spec.norm, spec.masked_gradient))
-    nz = _norm(z, spec.norm)
-    if nz < 1.0 - BOUNDARY_RTOL:
-        return Jacobian(np.zeros((x.size, x.size)))
-    one_sided = abs(nz - 1.0) <= BOUNDARY_RTOL
-    return Jacobian(_sphere_gradient(z, w, spec.norm, spec.masked_gradient),
-                    one_sided=one_sided)
+    d, c, a, one_sided = _gradient_structure(x, spec, y)
+    return Jacobian(np.diag(d) - c * np.outer(a, a), one_sided=one_sided)
+
+
+def project_vjp(v, x, spec, y):
+    """v^T Dy for the projection in O(n), never forming the n x n Jacobian.
+
+    Dy = diag(d) - c a a^T is the structure project_gradient materializes,
+    so v^T Dy = v * d - c (v . a) a.  Returns (v^T Dy, one_sided), with
+    one_sided as project_gradient sets it; raises what project_gradient
+    raises, and DimensionMismatch when v is not of length n.
+    """
+    d, c, a, one_sided = _gradient_structure(x, spec, y)
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != d.size:
+        raise DimensionMismatch(
+            f"projection vjp: v of length {v.size} for n={d.size}")
+    return v * d - (c * float(v @ a)) * a, one_sided
 
 
 def as_problem(spec, n):
@@ -224,18 +296,18 @@ def as_problem(spec, n):
     def c_y(x, u):
         return constraint_grad(u)[None, :]
 
-    def c_yy(x, u):
+    def c_yy(x, u, lam):
         if spec.norm is Norm.L2:
             nu = float(np.linalg.norm(u))
             uh = u / nu
-            return ((np.eye(n) - np.outer(uh, uh)) / nu)[None, :, :]
-        return np.zeros((1, n, n))
+            return lam[0] * (np.eye(n) - np.outer(uh, uh)) / nu
+        return np.zeros((n, n))
 
     def c_x(x, u):
         return np.zeros((1, n))
 
-    def c_xy(x, u):
-        return np.zeros((1, n, n))
+    def c_xy(x, u, lam):
+        return np.zeros((n, n))
 
     common = dict(
         f_y=lambda x, u: u - x,

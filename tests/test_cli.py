@@ -96,9 +96,23 @@ def test_project_origin_is_domain_error(capsys):
     assert "InfeasibleProblem" in err
 
 
+def test_project_nonfinite_input_is_domain_error(capsys):
+    code = main(["project", "--values", "0.5,inf"])
+    assert code == 1
+    assert "InfeasibleProblem" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
+
+
+def test_gradcheck_whole_registry_passes(tmp_path):
+    """The README's CI step: every selector, with the coverage check."""
+    code, doc = _run(tmp_path, ["gradcheck", "--all", "--trials", "3",
+                                "--format", "json"])
+    assert code == 0
+    assert {r["node_id"] for r in doc["rows"]} == set(gradcheck_selectors())
 
 def test_gradcheck_single_node_report(tmp_path):
     code, doc = _run(tmp_path, ["gradcheck", "--node", "pool-quadratic",

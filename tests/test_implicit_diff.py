@@ -6,6 +6,7 @@ checked against the finite-difference oracle of test_numdiff.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
                                    jacobian_from_context,
                                    pseudo_inverse_descent,
                                    recover_multipliers, vjp)
-from optnode.numdiff import fd_jacobian
+from optnode.numdiff import fd_hessian_blocks, fd_jacobian
 
 
 # --- unconstrained --------------------------------------------------------
@@ -375,8 +376,8 @@ def test_linear_equality_centering_projector():
                                 f_xy=lambda x, u: -np.eye(m),
                                 h_y=lambda x, u: A,
                                 h_x=lambda x, u: np.zeros((1, m)),
-                                h_yy=lambda x, u: np.zeros((1, m, m)),
-                                h_xy=lambda x, u: np.zeros((1, m, m))))
+                                h_yy=lambda x, u, lam: np.zeros((m, m)),
+                                h_xy=lambda x, u, lam: np.zeros((m, m))))
     x = np.array([0.3, -0.2, 0.6, 0.1])
     y = x - (np.sum(x) - 1.0) / m          # projection onto sum = 1
     jac = gradient_equality(problem, x, y)
@@ -683,3 +684,142 @@ def test_one_apply_serves_every_path(scenario):
 def test_gradient_paths_registry_is_complete():
     assert GRADIENT_PATHS == ("unconstrained", "equality", "inequality",
                               "feasibility", "pseudo_inverse", "vjp")
+
+
+# --- contracted constraint curvature ----------------------------------------
+
+def _per_row_lagrangian(f_yy, f_xy, lam, rows_yy, rows_xy):
+    """The per-row Lagrangian H, B the engine formed before the callbacks
+    took the multipliers: one subtraction per constraint row."""
+    H, B = 0.5 * (f_yy + f_yy.T), f_xy.copy()
+    for l, yy, xy in zip(lam, rows_yy, rows_xy):
+        H -= l * yy
+        B -= l * xy
+    return 0.5 * (H + H.T), B
+
+
+def test_contracted_curvature_matches_per_row_sum_analytic():
+    problem, solve = gallery.sphere_equality_problem(5, 4, seed=3)
+    x = np.array([0.4, -0.3, 0.9, 0.1, -0.6])
+    sol = solve(x)
+    ctx = build_context(problem, x, sol.y, multipliers=sol.multipliers)
+    d = problem.derivatives
+    # the per-row blocks of h = (u'u - 1)/2: D2_YY h = I, D2_XY h = 0
+    H, B = _per_row_lagrangian(d.f_yy(x, sol.y), d.f_xy(x, sol.y),
+                               sol.multipliers, np.eye(4)[None],
+                               np.zeros((1, 4, 5)))
+    assert sol.multipliers[0] != 0.0
+    np.testing.assert_allclose(ctx.H, H, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ctx.B, B, rtol=0, atol=1e-12)
+
+
+def _three_curved_rows():
+    """m = 4, n = 3: f = u'u/2 - u[:3]'x and three nonlinear equality rows
+    with analytic first derivatives only, so numdiff supplies curvature."""
+    def h(x, u):
+        return np.array([u[0] ** 2 + x[0] * u[1] - 1.0,
+                         u[2] * u[3] + x[1] * np.sin(u[0]),
+                         x[2] * np.exp(0.1 * u[1]) + u[3] ** 2])
+
+    def h_y(x, u):
+        return np.array([[2.0 * u[0], x[0], 0.0, 0.0],
+                         [x[1] * np.cos(u[0]), 0.0, u[3], u[2]],
+                         [0.0, 0.1 * x[2] * np.exp(0.1 * u[1]), 0.0,
+                          2.0 * u[3]]])
+
+    def h_x(x, u):
+        return np.array([[u[1], 0.0, 0.0], [0.0, np.sin(u[0]), 0.0],
+                         [0.0, 0.0, np.exp(0.1 * u[1])]])
+
+    def rows(x, u):
+        """Analytic per-row D2_YY h_i and D2_XY h_i."""
+        yy = np.zeros((3, 4, 4)); xy = np.zeros((3, 4, 3))
+        yy[0, 0, 0] = 2.0
+        yy[1, 0, 0] = -x[1] * np.sin(u[0])
+        yy[1, 2, 3] = yy[1, 3, 2] = 1.0
+        yy[2, 1, 1] = 0.01 * x[2] * np.exp(0.1 * u[1])
+        yy[2, 3, 3] = 2.0
+        xy[0, 1, 0] = 1.0
+        xy[1, 0, 1] = np.cos(u[0])
+        xy[2, 1, 2] = 0.1 * np.exp(0.1 * u[1])
+        return yy, xy
+
+    f_xy = -np.eye(4, 3)
+    problem = DeclarativeProblem(
+        objective=lambda x, u: 0.5 * float(u @ u) - float(u[:3] @ x),
+        input_dim=3, output_dim=4, eq_constraints=h,
+        derivatives=Derivatives(f_y=lambda x, u: u - np.append(x, 0.0),
+                                f_yy=lambda x, u: np.eye(4),
+                                f_xy=lambda x, u: f_xy, h_y=h_y, h_x=h_x))
+    return problem, rows
+
+
+def test_contracted_curvature_matches_per_row_sum_numeric():
+    problem, rows = _three_curved_rows()
+    x = np.array([0.5, -1.2, 0.8])
+    y = np.array([0.7, -0.4, 0.3, 0.9])
+    lam = np.array([0.3, -0.7, 0.45])
+    ctx = build_context(problem, x, y, multipliers=lam)
+    assert ctx.A.shape == (3, 4)
+    blocks = fd_hessian_blocks(dataclasses.replace(problem, objective=None),
+                               x, y)
+    H, B = _per_row_lagrangian(np.eye(4), -np.eye(4, 3), lam, blocks.h_yy,
+                               blocks.h_xy)
+    np.testing.assert_allclose(ctx.H, H, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ctx.B, B, rtol=0, atol=1e-12)
+    # and both are the Lagrangian of the analytic rows, to fd accuracy
+    H_exact, B_exact = _per_row_lagrangian(np.eye(4), -np.eye(4, 3), lam,
+                                           *rows(x, y))
+    np.testing.assert_allclose(ctx.H, H_exact, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ctx.B, B_exact, rtol=0, atol=1e-6)
+
+
+def test_curvature_callbacks_get_stack_multipliers():
+    """g callbacks see q multipliers with zeros on the inactive rows; a
+    family whose multipliers are all zero is never called."""
+    n = 2
+    seen = []
+
+    def g_yy(x, u, lam):
+        seen.append(np.array(lam))
+        return lam[0] * np.eye(n)
+
+    def never(*args):
+        raise AssertionError("curvature of a zero-multiplier family fetched")
+
+    problem = DeclarativeProblem(
+        objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
+        input_dim=n, output_dim=n,
+        eq_constraints=lambda x, u: np.array([u[0] - u[1]]),
+        ineq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0),
+                                                u[0] - 5.0]),
+        derivatives=Derivatives(
+            f_y=lambda x, u: u - x, f_yy=lambda x, u: np.eye(n),
+            f_xy=lambda x, u: -np.eye(n),
+            h_y=lambda x, u: np.array([[1.0, -1.0]]),
+            h_x=lambda x, u: np.zeros((1, n)), h_yy=never, h_xy=never,
+            g_y=lambda x, u: np.array([u, [1.0, 0.0]]),
+            g_x=lambda x, u: np.zeros((2, n)), g_yy=g_yy,
+            g_xy=lambda x, u, lam: np.zeros((n, n))))
+    y = np.full(n, np.sqrt(0.5))            # on the circle, far from u0 = 5
+    x = 2.0 * y
+    # the caller's 0.3 on the inactive second row does not reach g_yy
+    ctx = build_context(problem, x, y, multipliers=[0.0, -1.0, 0.3])
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], [-1.0, 0.0])
+    np.testing.assert_allclose(ctx.H, 2.0 * np.eye(n), rtol=0, atol=1e-15)
+
+
+def test_build_context_memory_on_linear_constraints():
+    """Linear constraints contribute one (m, m) and one (m, n) block of
+    zeros, not p of each: 21 MB of per-row zeros at (400, 200, 20)."""
+    problem, solve = gallery.linear_equality_problem(400, 200, 20, seed=0)
+    x = np.random.default_rng(0).standard_normal(400)
+    sol = solve(x)
+    tracemalloc.start()
+    try:
+        build_context(problem, x, sol.y, multipliers=sol.multipliers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"build_context peak {peak / 1e6:.1f} MB"

@@ -6,7 +6,7 @@ import pytest
 
 from optnode import _kernels
 from optnode.cli import STUDY_FRACTIONS, main
-from optnode.core import InfeasibleProblem, UndefinedGradient
+from optnode.core import InfeasibleProblem, SolverDiverged, UndefinedGradient
 from optnode.implicit_diff import gradient_unconstrained
 from optnode.numdiff import fd_jacobian
 from optnode.pooling import (MAX_ITERS, Penalty, PenaltySpec, as_problem,
@@ -289,6 +289,32 @@ def test_cli_pool_nonfinite_input_is_domain_error(kind, capsys):
                  "--alpha", "1"])
     assert code == 1
     assert "InfeasibleProblem" in capsys.readouterr().err
+
+
+OVERFLOWS = [
+    # (z/alpha)^2 overflows, so every f' term reads 0 at the mean: y = 1e200
+    # with an infinite objective was reported as converged
+    ([0.0, 0.0, 3e200], "pseudo_huber", 1.0),
+    # the mean itself overflows to inf
+    ([1e308, 1.5e308], "quadratic", 1.0),
+    # alpha^2 underflows to 0 against an infinite sum: a NaN objective
+    ([0.0, 0.0, 3.0], "pseudo_huber", 1e-200),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("values, kind, alpha", OVERFLOWS)
+def test_overflow_from_finite_input_is_solver_diverged(values, kind, alpha,
+                                                       capsys):
+    spec = PenaltySpec(kind, alpha)
+    with pytest.raises(SolverDiverged,
+                       match=rf"n={len(values)}, penalty={kind}, "
+                             rf"alpha={alpha}, max\|x\| = "):
+        robust_pool(np.array(values), spec)
+    code = main(["pool", "--values", ",".join(map(repr, values)),
+                 "--penalty", kind, "--alpha", repr(alpha)])
+    assert code == 1
+    assert "SolverDiverged" in capsys.readouterr().err
 
 
 def _study_draw(seed, fraction, points=100, sigma=0.1):

@@ -1,15 +1,18 @@
 """Projection nodes: exact solver outputs, closed-form gradients, masked
 variants against the fd oracle, and the ball/sphere regimes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from optnode.core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
-                          Solution, SolverInfo, UndefinedGradient)
+from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
+                          InfeasibleProblem, Solution, SolverInfo,
+                          UndefinedGradient)
 from optnode.implicit_diff import gradient_equality, gradient_inequality
 from optnode.numdiff import FdConfig, fd_jacobian
 from optnode.projection import (Norm, ProjectionSpec, Surface, project,
-                                project_gradient, as_problem)
+                                project_gradient, project_vjp, as_problem)
 
 ALL_SPHERES = [ProjectionSpec(n) for n in ("l1", "l2", "linf")]
 ALL_BALLS = [ProjectionSpec(n, surface="ball") for n in ("l1", "l2", "linf")]
@@ -266,11 +269,79 @@ def test_declarative_relu_regression():
             f_xy=lambda x, u: -np.eye(n),
             g_y=lambda x, u: -np.eye(n),
             g_x=lambda x, u: np.zeros((n, n)),
-            g_yy=lambda x, u: np.zeros((n, n, n)),
-            g_xy=lambda x, u: np.zeros((n, n, n))))
+            g_yy=lambda x, u, lam: np.zeros((n, n)),
+            g_xy=lambda x, u, lam: np.zeros((n, n))))
 
     x = np.array([1.2, -0.7, 0.4, -2.0])
     sol = solve(x)
     jac = gradient_inequality(problem, x, sol.y, sol.multipliers)
     np.testing.assert_allclose(jac.matrix, np.diag([1.0, 0.0, 1.0, 0.0]),
                                atol=1e-12)
+
+
+# --- boundary contracts -----------------------------------------------------
+
+NONFINITE = [[0.5, math.inf], [math.nan, 1.0], [-math.inf, 0.0]]
+
+
+@pytest.mark.parametrize("spec", ALL_SPHERES + ALL_BALLS)
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_nonfinite_input_is_infeasible(spec, bad):
+    # L1 raised a raw ValueError, L2 returned [0, nan], Linf returned NaN
+    with pytest.raises(InfeasibleProblem, match=r"1 non-finite of n=2"):
+        project(np.array(bad), spec)
+
+
+@pytest.mark.parametrize("spec", ALL_SPHERES + ALL_BALLS)
+def test_gradient_at_nonfinite_point_is_undefined(spec):
+    # the L2 ball gradient at [0.5, inf] was silently zero
+    x = np.array([0.5, 0.25])
+    y = project(x, spec).y
+    for xb, yb in ((np.array([0.5, math.inf]), y),
+                   (x, np.array([math.nan, 0.0]))):
+        with pytest.raises(UndefinedGradient, match="non-finite"):
+            project_gradient(xb, spec, yb)
+        with pytest.raises(UndefinedGradient, match="non-finite"):
+            project_vjp(np.ones(2), xb, spec, yb)
+
+
+def test_l2_norm_is_scaled_before_squaring():
+    spec = ProjectionSpec("l2")
+    # ||x||^2 underflowed to 0 (rejected as x = 0) or overflowed to inf
+    np.testing.assert_array_equal(project(np.array([1e-300, 0.0]), spec).y,
+                                  [1.0, 0.0])
+    np.testing.assert_allclose(project(np.array([1e200, -1e200]), spec).y,
+                               [math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-15)
+    ball = ProjectionSpec("l2", surface="ball")
+    np.testing.assert_allclose(project(np.array([3e200, 4e200]), ball).y,
+                               [0.6, 0.8], rtol=1e-15)
+
+
+def test_l2_gradient_beyond_float_range_is_undefined():
+    x = np.array([5e-324, 0.0])
+    spec = ProjectionSpec("l2")
+    y = project(x, spec).y
+    np.testing.assert_array_equal(y, [1.0, 0.0])
+    with pytest.raises(UndefinedGradient, match="overflows"):
+        project_gradient(x, spec, y)
+
+
+def test_l1_sphere_of_ties_far_beyond_the_radius():
+    # the threshold search found no index (raw ValueError) once the
+    # radius fell below the rounding of the entries
+    spec = ProjectionSpec("l1")
+    for big in (1e17, 1e308):
+        y = project(np.array([big, big, -big / 4]), spec).y
+        np.testing.assert_allclose(y, [0.5, 0.5, 0.0], rtol=1e-15)
+
+
+def test_radius_overflow_is_infeasible():
+    with pytest.raises(InfeasibleProblem, match=r"overflows for n=2"):
+        project(np.array([1e308, 1.0]), ProjectionSpec("l2", radius=0.5))
+
+
+def test_vjp_rejects_wrong_length():
+    x = np.array([3.0, 4.0])
+    spec = ProjectionSpec("l2")
+    with pytest.raises(DimensionMismatch, match="length 3 for n=2"):
+        project_vjp(np.ones(3), x, spec, project(x, spec).y)
