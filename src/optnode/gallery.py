@@ -4,7 +4,8 @@ Each constructor returns (problem, solve) where solve(x) -> Solution and
 the DeclarativeProblem carries analytic derivative callbacks.  Solvers
 are deterministic smooth functions of the input so they can be
 differentiated numerically and compared against the implicit-gradient
-engine.
+engine.  Every solve raises InfeasibleProblem on an x with a non-finite
+entry, before any work, and SolverDiverged when y comes out non-finite.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import (DeclarativeProblem, Derivatives, SolverDiverged, Solution,
-                   SolverInfo)
+from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
+                   SolverDiverged, Solution, SolverInfo)
 
 _SOFT_CURVE = 0.1  # weight of the cosh barrier in the convex objectives
 
@@ -31,6 +32,24 @@ def _solution(y, multipliers, iterations, value):
                     objective_value=float(value),
                     solver_info=SolverInfo(iterations=iterations,
                                            converged=True))
+
+
+def _finite_io(solve):
+    """solve with the gallery's boundary contract (module docstring)."""
+    def checked(x):
+        x = np.asarray(x, dtype=float)
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        if bad:
+            raise InfeasibleProblem(
+                f"gallery input has {bad} non-finite of n={x.size} entries")
+        sol = solve(x)
+        if not np.isfinite(sol.y).all():
+            raise SolverDiverged(
+                f"gallery solve gave a non-finite y of m={sol.y.size} "
+                f"from a finite x of n={x.size} (max|x| = "
+                f"{float(np.max(np.abs(x), initial=0.0)):.3e})")
+        return sol
+    return checked
 
 
 def _convex_pieces(rng, input_dim, output_dim):
@@ -93,12 +112,11 @@ def strongly_convex_problem(input_dim, output_dim, seed):
         derivatives=Derivatives(f_y=f_y, f_yy=f_yy, f_xy=f_xy))
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         y, it = _damped_newton(lambda u: f_y(x, u), lambda u: f_yy(x, u),
                                np.zeros(output_dim), label="unconstrained")
         return _solution(y, np.zeros(0), it, value(x, y))
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
@@ -127,7 +145,6 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         b = P @ x + d
         u = np.zeros(output_dim)
         lam = np.zeros(n_constraints)
@@ -159,7 +176,7 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
                 break
         raise SolverDiverged(f"equality KKT newton stalled at residual {res:.3e}")
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def sphere_equality_problem(input_dim, output_dim, seed):
@@ -180,7 +197,6 @@ def sphere_equality_problem(input_dim, output_dim, seed):
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         # deterministic smooth start: normalized unconstrained direction
         w = np.linalg.solve(Q, np.tanh(M @ x))
         nw = float(np.linalg.norm(w))
@@ -235,7 +251,7 @@ def sphere_equality_problem(input_dim, output_dim, seed):
                 break
         raise SolverDiverged(f"sphere KKT newton stalled at residual {res:.3e}")
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def disc_inequality_problem(dim):
@@ -259,7 +275,6 @@ def disc_inequality_problem(dim):
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         nx = float(np.linalg.norm(x))
         if nx <= 1.0:
             y, lam = x.copy(), 0.0
@@ -271,7 +286,7 @@ def disc_inequality_problem(dim):
                         objective_value=0.5 * float(np.sum((y - x) ** 2)),
                         solver_info=SolverInfo(iterations=0, converged=True))
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def circle_equality_problem(dim):
@@ -293,12 +308,11 @@ def circle_equality_problem(dim):
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         nx = float(np.linalg.norm(x))
         y = x / nx
         return _solution(y, [1.0 - nx], 0, 0.5 * float(np.sum((y - x) ** 2)))
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def spherical_alignment_problem(dim):
@@ -337,13 +351,12 @@ def spherical_alignment_problem(dim):
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         nx = float(np.linalg.norm(x))
         y = x / nx
         # stationarity  f_y = lam * u  holds with lam = 0 at the optimum
         return _solution(y, [0.0], 0, -nx)
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def two_branch_problem(branch="plus"):
@@ -363,11 +376,10 @@ def two_branch_problem(branch="plus"):
         derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
         y = np.array([1.0 + sign * x[0]])
         return _solution(y, [0.0], 0, 0.0)
 
-    return problem, solve
+    return problem, _finite_io(solve)
 
 
 def wide_coupling_problem(output_dim, input_dim, seed):
@@ -393,9 +405,11 @@ def wide_coupling_problem(output_dim, input_dim, seed):
         input_dim=n, output_dim=m, derivatives=derivs)
 
     def solve(x):
-        x = np.asarray(x, dtype=float)
-        y = scipy.linalg.cho_solve(cho, W @ x)
-        value = float(0.5 * y @ Q @ y - y @ (W @ x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflowing W x gives a non-finite y: SolverDiverged
+            Wx = W @ x
+            y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
+            value = float(0.5 * y @ Q @ y - y @ Wx)
         return _solution(y, np.zeros(0), 1, value)
 
-    return problem, solve
+    return problem, _finite_io(solve)

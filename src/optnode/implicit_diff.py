@@ -289,6 +289,14 @@ class GradientContext:
     rank_deficient_fallback: bool = False
 
 
+def _require_finite(name, a):
+    """Raise UndefinedGradient naming a's shape and its non-finite count."""
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise UndefinedGradient(
+            f"{name} of shape {a.shape} has {bad} non-finite entries")
+
+
 def build_context(problem, x, y, multipliers=None, path="auto",
                   zero_multiplier_branch="constrained"):
     """Build the GradientContext for repeated Jacobians and VJPs at (x, y).
@@ -315,13 +323,11 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     problem has a b_columns callback.  A problem without objective uses
     H = I and B = 0: the minimum-norm solution of A Dy = -C, flagged when
     fewer than m rows are kept.  A non-finite x raises UndefinedGradient
-    before any callback runs.
+    before any callback runs, and so does a non-finite constraint Jacobian
+    or D_Y f (for multiplier recovery) before it is factored.
     """
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
-    if not np.isfinite(x).all():
-        raise UndefinedGradient(
-            f"x of shape {x.shape} has "
-            f"{np.count_nonzero(~np.isfinite(x))} non-finite entries")
+    _require_finite("x", x)
     if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
         raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
     if path == "pseudo_inverse":
@@ -348,6 +354,8 @@ def build_context(problem, x, y, multipliers=None, path="auto",
         rows = "p + q" if problem.ineq_constraints is not None else "p"
         multipliers = _checked_multipliers(multipliers, p + q, rows)
     k = A.shape[0]
+    _require_finite("constraint Jacobian A", A)
+    _require_finite("constraint Jacobian C", C)
     kept, dropped = _rank_repair(A)
     if kept.size == 0 and (k or feasibility):
         raise RankDeficientConstraints(
@@ -358,7 +366,9 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     stack, one_sided = kept, False
     if k and not feasibility:
         if multipliers is None:
-            lam[kept] = recover_multipliers(A[kept], _f_y(problem, x, y))
+            f_y = _f_y(problem, x, y)
+            _require_finite("D_Y f", f_y)
+            lam[kept] = recover_multipliers(A[kept], f_y)
         else:
             lam = multipliers[np.concatenate([np.arange(p), p + act])]
             lam[dropped] = 0.0

@@ -76,7 +76,8 @@ def _norm(z, norm):
     if norm is Norm.L2:
         return _l2(z)[0]
     if norm is Norm.L1:
-        return float(np.sum(np.abs(z)))
+        with np.errstate(over="ignore"):    # inf is the norm's float value
+            return float(np.sum(np.abs(z)))
     return float(np.max(np.abs(z))) if z.size else 0.0
 
 
@@ -118,7 +119,8 @@ def _unit_sphere_project(z, norm):
                 f"sphere), n={z.size}")
         return w, 1.0 - nz
     if norm is Norm.L1:
-        s = float(np.sum(np.abs(z)))
+        with np.errstate(over="ignore"):    # s = inf still takes the simplex
+            s = float(np.sum(np.abs(z)))
         if s >= 1.0:
             w = np.sign(z) * _simplex_project(np.abs(z), 1.0)
         else:
@@ -181,8 +183,10 @@ def project(x, spec):
             y = r * w
             mult = np.array([r * lam])
             active = np.array([True])
+    with np.errstate(over="ignore"):        # documented: may be inf
+        objective = 0.5 * float(np.sum((y - x) ** 2))
     return Solution(y=y, multipliers=mult, active_set=active,
-                    objective_value=0.5 * float(np.sum((y - x) ** 2)),
+                    objective_value=objective,
                     solver_info=SolverInfo(iterations=0, converged=True))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                          Jacobian, Solution, SolverInfo, solution_residuals,
-                          validate_problem)
+                          InfeasibleProblem, Jacobian, Solution, SolverDiverged,
+                          SolverInfo, solution_residuals, validate_problem)
 from optnode import gallery, implicit_diff, pooling, projection
 
 
@@ -132,6 +132,38 @@ def test_solution_invariants_disc_active_and_inactive():
     assert sol_out.active_set.all()
     assert sol_out.multipliers[0] < 0.0   # sign condition, active row
     _assert_solution_invariants(problem, outside, sol_out)
+
+
+GALLERY = {
+    "strongly_convex": lambda: gallery.strongly_convex_problem(4, 3, 0),
+    "linear_equality": lambda: gallery.linear_equality_problem(4, 5, 2, 0),
+    "sphere_equality": lambda: gallery.sphere_equality_problem(4, 3, 0),
+    "disc_inequality": lambda: gallery.disc_inequality_problem(3),
+    "circle_equality": lambda: gallery.circle_equality_problem(3),
+    "spherical_alignment": lambda: gallery.spherical_alignment_problem(3),
+    "two_branch": lambda: gallery.two_branch_problem("minus"),
+    "wide_coupling": lambda: gallery.wide_coupling_problem(3, 6, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_solve_rejects_nonfinite_input(name):
+    """Every gallery solve names a non-finite x before any work."""
+    problem, solve = GALLERY[name]()
+    n = problem.input_dim
+    for bad in (np.inf, -np.inf, np.nan):
+        x = np.full(n, 0.6)
+        x[-1] = bad
+        with pytest.raises(InfeasibleProblem, match=rf"1 non-finite of n={n} "):
+            solve(x)
+
+
+def test_gallery_solve_nonfinite_output_is_solver_diverged():
+    """W x overflows on a finite x: the wide solve reports it rather than
+    letting scipy's finiteness check raise a ValueError."""
+    _, solve = GALLERY["wide_coupling"]()
+    with pytest.raises(SolverDiverged, match=r"non-finite y of m=3 .* n=6"):
+        solve(np.full(6, 1e308))
 
 
 def test_solution_invariants_pooling():

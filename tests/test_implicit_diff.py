@@ -587,6 +587,27 @@ def test_build_context_nan_x_is_a_node_error():
     assert calls == []                  # rejected before any callback ran
 
 
+@pytest.mark.parametrize("make, field, value, x, y, match", [
+    (lambda: gallery.two_branch_problem("plus"), "h_y", [[np.inf]],
+     [0.5], [1.5], r"constraint Jacobian A of shape \(1, 1\) has 1 non-finite"),
+    (lambda: gallery.two_branch_problem("plus"), "h_x", [[np.nan]],
+     [0.5], [1.5], r"constraint Jacobian C of shape \(1, 1\) has 1 non-finite"),
+    (lambda: gallery.linear_equality_problem(4, 5, 2, 0), "f_y",
+     [np.inf, 0.0, 0.0, 0.0, np.nan], [0.0] * 4, [0.0] * 5,
+     r"D_Y f of shape \(5,\) has 2 non-finite"),
+], ids=["A", "C", "f_y"])
+def test_build_context_nonfinite_stack_or_gradient_is_a_node_error(
+        make, field, value, x, y, match):
+    """A non-finite constraint Jacobian, or a non-finite D_Y f reaching
+    multiplier recovery, is named before any factorisation."""
+    problem, _ = make()
+    d = dataclasses.replace(problem.derivatives,
+                            **{field: lambda x, u: np.array(value)})
+    with pytest.raises(UndefinedGradient, match=match):
+        build_context(dataclasses.replace(problem, derivatives=d),
+                      np.array(x), np.array(y))
+
+
 def test_singular_hessian_fallback_fetches_second_derivatives_once():
     calls = []
     problem = DeclarativeProblem(

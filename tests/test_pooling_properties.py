@@ -91,3 +91,34 @@ def test_nonfinite_and_subnormal_entries(case, specials, seed):
         except NodeError:
             continue
         assert np.all(np.isfinite(jac.matrix))
+
+
+CONVEX = (Penalty.QUADRATIC, Penalty.PSEUDO_HUBER, Penalty.HUBER)
+
+
+@settings(max_examples=40)
+@given(clustered(), st.integers(0, 2 ** 32 - 1))
+def test_pooling_is_permutation_invariant(case, seed):
+    """Reordering x keeps every objective; the convex penalties' unique
+    minimiser stays put as well."""
+    x, alpha = case
+    xp = np.random.default_rng(seed).permutation(x)
+    scale = 1.0 + float(np.max(np.abs(x)))
+    for kind in KINDS:
+        spec = PenaltySpec(kind, alpha)
+        a, b = robust_pool(x, spec), robust_pool(xp, spec)
+        assert abs(a.objective_value - b.objective_value) <= 1e-12 * max(
+            abs(a.objective_value), abs(b.objective_value))
+        if kind in CONVEX:
+            assert abs(a.y[0] - b.y[0]) <= 1e-10 * scale
+
+
+@settings(max_examples=40)
+@given(clustered(), st.floats(-1e3, 1e3))
+def test_convex_pooling_is_translation_equivariant(case, c):
+    x, alpha = case
+    scale = 1.0 + abs(c) + float(np.max(np.abs(x)))
+    for kind in CONVEX:
+        spec = PenaltySpec(kind, alpha)
+        y = robust_pool(x, spec).y[0]
+        assert abs(robust_pool(x + c, spec).y[0] - c - y) <= 1e-10 * scale
