@@ -22,35 +22,43 @@ TRUNCATED_QUADRATIC = 4
 
 def penalty_sums(code, alpha, u, x):
     """Sum over data points of penalty value / first / second derivative
-    at residuals z_i = u - x_i.  Returns (value, d1, d2)."""
-    z = u - x
+    at residuals z_i = u - x_i.  Returns (value, d1, d2).
+
+    A float u and x of shape (n,) give three floats.  A stack, u of shape
+    (B,) and C-contiguous x of shape (B, n), gives three (B,) arrays whose
+    entry i is bit-identical to the call on (u[i], x[i]): every reduction
+    runs pairwise along one contiguous row, as it does on a vector.
+    """
+    z = np.asarray(u)[..., None] - x
+    add = lambda a: np.add.reduce(a, -1)
     if code == QUADRATIC:
-        return 0.5 * float(z @ z), float(np.add.reduce(z)), float(z.size)
-    if code == PSEUDO_HUBER:
+        # a stack of (1, n) @ (n, 1) products rounds as the vector z @ z
+        sums = (0.5 * (z[..., None, :] @ z[..., :, None])[..., 0, 0], add(z),
+                np.full(z.shape[:-1], float(z.shape[-1])))
+    elif code == PSEUDO_HUBER:
         t = 1.0 + (z / alpha) ** 2
         s = np.sqrt(t)
-        return (float(alpha * alpha * np.add.reduce(s - 1.0)),
-                float(np.add.reduce(z / s)),
-                float(np.add.reduce(t ** -1.5)))
-    if code == HUBER:
+        sums = alpha * alpha * add(s - 1.0), add(z / s), add(t ** -1.5)
+    elif code == HUBER:
         inl = np.abs(z) <= alpha
         val = np.where(inl, 0.5 * z * z, alpha * (np.abs(z) - 0.5 * alpha))
         d1 = np.where(inl, z, alpha * np.sign(z))
-        return (float(np.add.reduce(val)), float(np.add.reduce(d1)),
-                float(np.count_nonzero(inl)))
-    if code == WELSCH:
+        sums = add(val), add(d1), np.add.reduce(inl, -1, float)
+    elif code == WELSCH:
         a2 = alpha * alpha
         ex = np.exp(-0.5 * z * z / a2)
-        return (float(np.add.reduce(1.0 - ex)),
-                float(np.add.reduce(z / a2 * ex)),
-                float(np.add.reduce((a2 - z * z) / (a2 * a2) * ex)))
-    if code == TRUNCATED_QUADRATIC:
+        sums = (add(1.0 - ex), add(z / a2 * ex),
+                add((a2 - z * z) / (a2 * a2) * ex))
+    elif code == TRUNCATED_QUADRATIC:
         inl = np.abs(z) <= alpha
         val = np.where(inl, 0.5 * z * z, 0.5 * alpha * alpha)
-        return (float(np.add.reduce(val)),
-                float(np.add.reduce(np.where(inl, z, 0.0))),
-                float(np.count_nonzero(inl)))
-    raise ValueError(f"unknown penalty code {code}")
+        sums = (add(val), add(np.where(inl, z, 0.0)),
+                np.add.reduce(inl, -1, float))
+    else:
+        raise ValueError(f"unknown penalty code {code}")
+    if z.ndim > 1:
+        return sums
+    return float(sums[0]), float(sums[1]), float(sums[2])
 
 
 def penalty_weights(code, alpha, y, x):

@@ -489,21 +489,25 @@ def run_study(seed=0, trials=200, points=100, sigma=0.1, alpha=STUDY_ALPHA,
     Per trial: inlier mean drawn uniformly from [-1, 1], inliers normal
     around it, outliers uniform on [-1, 1]; all penalties see the same
     data (paired comparison).  Deterministic per seed: each trial owns the
-    stream default_rng([seed, trial]).
+    stream default_rng([seed, trial]).  Each penalty pools a trial's
+    fractions as one (len(fractions), points) stack.
     """
+    if not fractions:
+        return []                       # nothing to pool, so no stack
     specs = [PenaltySpec(kind, alpha) for kind in STUDY_PENALTIES]
     totals = {(f, s.kind.value): 0.0 for f in fractions for s in specs}
+    X = np.empty((len(fractions), points))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         mu = float(rng.uniform(-1.0, 1.0))
-        for f in fractions:
+        for row, f in zip(X, fractions):
             n_out = int(round(f * points))
             n_in = points - n_out
-            x = np.concatenate([
-                mu + sigma * rng.standard_normal(n_in),
-                rng.uniform(-1.0, 1.0, n_out)])
-            for s in specs:
-                y = float(robust_pool(x, s).y[0])
+            row[:n_in] = mu + sigma * rng.standard_normal(n_in)
+            row[n_in:] = rng.uniform(-1.0, 1.0, n_out)
+        for s in specs:
+            ys = robust_pool(X, s).y.tolist()
+            for f, y in zip(fractions, ys):
                 totals[(f, s.kind.value)] += abs(y - mu)
     rows = []
     for f in fractions:

@@ -24,6 +24,17 @@ def _spd(rng, m):
     return G.T @ G / m + 0.5 * np.eye(m)
 
 
+def _unit(x, nx):
+    """(||x||, x / ||x||) given nx = np.linalg.norm(x) > 0.  Only when nx
+    overflowed are both taken from x / max|x|, so ordinary inputs keep
+    their bits."""
+    if nx < np.inf:
+        return nx, x / nx
+    s = float(np.max(np.abs(x)))
+    ns = float(np.linalg.norm(x / s))
+    return s * ns, (x / s) / ns
+
+
 def _solution(y, multipliers, iterations, value):
     lam = np.asarray(multipliers, dtype=float).ravel()
     return Solution(y=np.asarray(y, dtype=float),
@@ -279,7 +290,8 @@ def disc_inequality_problem(dim):
         if nx <= 1.0:
             y, lam = x.copy(), 0.0
         else:
-            y, lam = x / nx, 1.0 - nx
+            nx, y = _unit(x, nx)
+            lam = 1.0 - nx
         active = 0.5 * (y @ y - 1.0) >= -1e-8
         return Solution(y=y, multipliers=np.array([lam]),
                         active_set=np.array([active]),
@@ -308,8 +320,7 @@ def circle_equality_problem(dim):
         derivatives=derivs)
 
     def solve(x):
-        nx = float(np.linalg.norm(x))
-        y = x / nx
+        nx, y = _unit(x, float(np.linalg.norm(x)))
         return _solution(y, [1.0 - nx], 0, 0.5 * float(np.sum((y - x) ** 2)))
 
     return problem, _finite_io(solve)
@@ -351,8 +362,7 @@ def spherical_alignment_problem(dim):
         derivatives=derivs)
 
     def solve(x):
-        nx = float(np.linalg.norm(x))
-        y = x / nx
+        nx, y = _unit(x, float(np.linalg.norm(x)))
         # stationarity  f_y = lam * u  holds with lam = 0 at the optimum
         return _solution(y, [0.0], 0, -nx)
 

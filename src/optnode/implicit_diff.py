@@ -144,6 +144,22 @@ class _NullCounter:
 # Derivative sourcing (analytic callbacks preferred, numdiff otherwise)
 # ---------------------------------------------------------------------------
 
+def _sourced(helper):
+    """helper with a non-finite value met by numdiff reported as
+    UndefinedGradient naming the x and y shapes; numdiff's own callers
+    still see its ValueError."""
+    def sourced(problem, x, y, *args, **kwargs):
+        try:
+            return helper(problem, x, y, *args, **kwargs)
+        except numdiff.NonFiniteValue as err:
+            raise UndefinedGradient(
+                f"a finite-difference derivative met a non-finite function "
+                f"value at x of shape {x.shape}, y of shape {y.shape}"
+            ) from err
+    return sourced
+
+
+@_sourced
 def _f_y(problem, x, y):
     d = problem.derivatives
     if d is not None and d.f_y is not None:
@@ -151,6 +167,7 @@ def _f_y(problem, x, y):
     return numdiff.fd_gradient(lambda u: problem.objective(x, u), y)
 
 
+@_sourced
 def _objective_blocks(problem, x, y, with_b=True):
     """(H_f symmetrized, B_f); numeric pieces only where analytic missing.
 
@@ -173,6 +190,7 @@ def _objective_blocks(problem, x, y, with_b=True):
     return 0.5 * (f_yy + f_yy.T), f_xy
 
 
+@_sourced
 def _constraint_first(problem, x, y, which):
     """Constraint Jacobians (A, C) = (D_Y, D_X) for 'h' or 'g' rows."""
     fn = problem.eq_constraints if which == "h" else problem.ineq_constraints
@@ -189,6 +207,7 @@ def _constraint_first(problem, x, y, which):
     return np.atleast_2d(A), np.atleast_2d(C)
 
 
+@_sourced
 def _constraint_curvature(problem, x, y, which, lam):
     """(sum_i lam_i D2_YY c_i, sum_i lam_i D2_XY c_i) over the 'h' or 'g'
     rows c_i, shapes (m, m) and (m, n).

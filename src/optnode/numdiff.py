@@ -46,10 +46,14 @@ class FdConfig:
         raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
+class NonFiniteValue(ValueError):
+    """A differenced function returned a non-finite value."""
+
+
 def _eval(fun, x):
     out = np.atleast_1d(np.asarray(fun(x), dtype=float))
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite function value at x={x!r}")
+        raise NonFiniteValue(f"non-finite function value at x={x!r}")
     return out
 
 

@@ -10,6 +10,12 @@ majorise-minimise safeguard from two starts; each takes a small, bounded
 number of kernel passes.  The backward pass has closed-form
 normalized-weight gradients.
 
+robust_pool also pools each row of a (B, n) stack: y has shape (B,) and
+the objective is the sum of the row objectives.  The rows (and both starts
+of a non-convex row) are solved in lockstep, one kernel pass over the
+stack per step, and each row is bit-identical to pooling it alone; a
+vector is the B = 1 stack.
+
 Penalties, with z = u - x_i:
 
     quadratic            0.5 z^2
@@ -96,8 +102,15 @@ def _sums(spec, u, x):
     return _kernels.penalty_sums(spec.code, spec.alpha, float(u), x)
 
 
-def _newton_bisect(spec, x, lo, hi, tol, max_iters):
-    """Safeguarded Newton on f'(u) = 0 over the bracket [lo, hi] of x.
+# The solvers below are row programs: generators that keep the scalar
+# control logic of one row, yield each point u at which they need
+# (f, f', f''), are sent those sums back, and return their result.
+# _lockstep runs one program per row side by side and makes one kernel
+# pass over the stack per step.
+
+def _newton_bisect(lo, hi, u, tol, max_iters):
+    """Safeguarded Newton on f'(u) = 0 over the bracket [lo, hi] of x,
+    from u.
 
     The convex penalties give a nondecreasing f', so the bracket is valid
     and bisection alone would converge; Newton steps are taken whenever
@@ -105,10 +118,9 @@ def _newton_bisect(spec, x, lo, hi, tol, max_iters):
     (f, f', f'') at u).
     """
     if lo == hi:
-        return lo, 0, _sums(spec, lo, x)
-    u = float(np.mean(x))
+        return lo, 0, (yield lo)
     for it in range(1, max_iters + 1):
-        sums = _sums(spec, u, x)
+        sums = yield u
         _, d1, d2 = sums
         if abs(d1) <= tol:
             return u, it, sums
@@ -125,11 +137,12 @@ def _newton_bisect(spec, x, lo, hi, tol, max_iters):
         if un == u or hi - lo <= 1e-15 * max(1.0, abs(u)):
             return u, it, sums
         u = un
-    return u, max_iters, _sums(spec, u, x)
+    return u, max_iters, (yield u)
 
 
-def _local_descent(spec, x, u0, lo, hi, tol, max_iters):
-    """Newton with a majorise-minimise (MM) safeguard from u0, in [lo, hi].
+def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
+    """Newton with a majorise-minimise (MM) safeguard from u0, in [lo, hi],
+    over n points.
 
     Newton is taken when f'' > 0 and it lowers f (or, with f level to
     rounding, |f'|).  Otherwise the step minimises the half-quadratic
@@ -141,7 +154,7 @@ def _local_descent(spec, x, u0, lo, hi, tol, max_iters):
     (u, iterations, (f, f', f'') at u).
     """
     u = min(max(float(u0), lo), hi)
-    sums = _sums(spec, u, x)
+    sums = yield u
     it = 0
     for it in range(1, max_iters + 1):
         f, d1, d2 = sums
@@ -150,20 +163,20 @@ def _local_descent(spec, x, u0, lo, hi, tol, max_iters):
         if d2 > 0.0:
             un = min(max(u - d1 / d2, lo), hi)
             if un != u:
-                sn = _sums(spec, un, x)
+                sn = yield un
                 if sn[0] < f or (sn[0] <= f + LEVEL_RTOL * f
                                  and abs(sn[1]) < abs(d1)):
                     u, sums = un, sn
                     continue
         if spec.kind is not Penalty.WELSCH:
             break                      # the rejected Newton step was the MM step
-        m = (x.size - f) / (spec.alpha * spec.alpha)
+        m = (n - f) / (spec.alpha * spec.alpha)
         # every weight below the rounding of f: walk by alpha instead
         step = -d1 / m if m > 0.0 else -math.copysign(spec.alpha, d1)
         un = min(max(u + step, lo), hi)
         if un == u:
             break
-        sn = _sums(spec, un, x)
+        sn = yield un
         if not (sn[0] <= f or _concave_fall(sums, sn)):
             break
         while True:
@@ -171,7 +184,7 @@ def _local_descent(spec, x, u0, lo, hi, tol, max_iters):
             uc = min(max(u + step, lo), hi)
             if uc == un:
                 break
-            sc = _sums(spec, uc, x)
+            sc = yield uc
             if not (sc[0] < sn[0] or _concave_fall(sn, sc)):
                 break
             un, sn = uc, sc
@@ -185,7 +198,7 @@ def _concave_fall(sums, sn):
     return sums[2] <= 0.0 and sn[2] <= 0.0 and sums[1] * sn[1] > 0.0
 
 
-def _polish(spec, x, u, sums, lo, hi):
+def _polish(u, sums, lo, hi):
     """Undamped Newton on f' from an already-converged u with sums at u.
 
     Quadratic convergence drives the root to machine precision in a few
@@ -200,15 +213,54 @@ def _polish(spec, x, u, sums, lo, hi):
         un = min(max(u - d1 / d2, lo), hi)
         if un == u:
             break
-        sn = _sums(spec, un, x)
+        sn = yield un
         if abs(sn[1]) >= abs(d1):
             break
         u, sums = un, sn
     return u, sums
 
 
+def _at(y):
+    """The closed-form quadratic row: y with its sums, 0 iterations."""
+    return y, (yield y), 0
+
+
+def _polished(search, lo, hi):
+    """The search, then _polish from where it stopped: (y, sums,
+    iterations of the search)."""
+    u, iters, sums = yield from search
+    y, sums = yield from _polish(u, sums, lo, hi)
+    return y, sums, iters
+
+
+def _lockstep(spec, X, programs):
+    """Run programs[k] on row k of X side by side and return their results.
+
+    Each step makes one kernel pass over the stack of the rows still
+    running, so a stack costs as many passes as its longest row.
+    """
+    out = [None] * len(programs)
+    live = list(range(len(programs)))
+    us = [next(prog) for prog in programs]    # each needs at least one point
+    while live:
+        rows = X if len(live) == len(programs) else X[live]
+        f, d1, d2 = _kernels.penalty_sums(spec.code, spec.alpha,
+                                          np.array(us), rows)
+        still, us = [], []
+        for k, sums in zip(live, zip(f.tolist(), d1.tolist(), d2.tolist())):
+            try:
+                us.append(programs[k].send(sums))
+                still.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+        live = still
+    return out
+
+
 def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
-    """Solve the pooling problem.  Returns a Solution with m = 1.
+    """Solve the pooling problem for a vector x of shape (n,) or for each
+    row of a stack x of shape (B, n).  Returns one Solution with y of shape
+    (B,), B = 1 for a vector.
 
     Quadratic is the closed-form mean.  PseudoHuber/Huber are convex and
     solved globally by safeguarded Newton.  Welsch/TruncatedQuadratic run
@@ -216,59 +268,94 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
     median and keep the lower local minimum; an objective tie within 1e-12
     breaks toward smaller y.  The solvers return the (f, f', f'') they last
     computed, which give the objectives and the stationarity check without
-    another kernel pass.  Non-finite x raises InfeasibleProblem first; a
-    finite x whose y or objective_value overflows (or turns NaN) raises
-    SolverDiverged.
+    another kernel pass.
+
+    All rows, and both starts of each row, are solved in lockstep with one
+    kernel pass per step; row i of a stack is bit-identical to pooling
+    x[i] alone.  objective_value is the sum of the row objectives in row
+    order, and solver_info.iterations the total over rows.  A row with a
+    non-finite entry raises InfeasibleProblem before any kernel pass; a
+    finite row whose y or objective overflows (or turns NaN) raises
+    SolverDiverged.  Both name the first such row.  An empty stack or row,
+    or more than two dimensions, raises ValueError.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 1:
-        raise ValueError("robust_pool needs at least one value")
+    X = np.asarray(x, dtype=float)
+    if X.ndim > 2 or X.size < 1:
+        raise ValueError(
+            f"robust_pool needs a non-empty (n,) or (B, n) array, got shape "
+            f"{X.shape}")
+    X = np.ascontiguousarray(np.atleast_2d(X))
+    B, n = X.shape
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
-    lo = float(np.min(x)); hi = float(np.max(x))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+    lo, hi = X.min(-1), X.max(-1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        count = n - int(np.count_nonzero(np.isfinite(X[i])))
         raise InfeasibleProblem(
-            f"pooling input has {bad} non-finite of n={x.size} entries "
+            f"pooling input row {i} has {count} non-finite of n={n} entries "
             f"(penalty={spec.kind.value}, alpha={spec.alpha})")
+    lo, hi = lo.tolist(), hi.tolist()
+    mean = X.mean(-1).tolist()
 
     restarts = 0
     if spec.kind is Penalty.QUADRATIC:
-        y, iters = float(np.mean(x)), 0
-        sums = _sums(spec, y, x)
+        rows = _lockstep(spec, X, [_at(u) for u in mean])
     elif spec.kind in (Penalty.PSEUDO_HUBER, Penalty.HUBER):
-        u, iters, sums = _newton_bisect(spec, x, lo, hi, tol, max_iters)
-        y, sums = _polish(spec, x, u, sums, lo, hi)
+        rows = _lockstep(spec, X, [
+            _polished(_newton_bisect(lo[i], hi[i], mean[i], tol, max_iters),
+                      lo[i], hi[i]) for i in range(B)])
     else:
-        cands = []
-        iters = 0
-        for u0 in (float(np.mean(x)), float(np.median(x))):
-            u, it, sums = _local_descent(spec, x, u0, lo, hi, tol, max_iters)
-            cands.append(_polish(spec, x, u, sums, lo, hi))
-            iters += it
-        (ya, sa), (yb, sb) = cands
-        if abs(sa[0] - sb[0]) <= TIE_TOL:
-            y, sums = cands[0] if ya <= yb else cands[1]
-        else:
-            y, sums = cands[0] if sa[0] < sb[0] else cands[1]
+        # lanes 0..B-1 start at the row means, lanes B..2B-1 at the medians
+        starts = mean + np.median(X, -1).tolist()
+        lanes = _lockstep(spec, np.concatenate([X, X]), [
+            _polished(_local_descent(spec, n, u0, lo[k % B], hi[k % B], tol,
+                                     max_iters), lo[k % B], hi[k % B])
+            for k, u0 in enumerate(starts)])
+        rows = [_lower(a, b) for a, b in zip(lanes[:B], lanes[B:])]
         restarts = 1
+
+    objective, iters = 0.0, 0
+    for i, (y, sums, it) in enumerate(rows):
+        _check_row(spec, i, n, y, sums, it, tol, max(-lo[i], hi[i]))
+        objective += sums[0]
+        iters += it
+    return Solution(y=np.array([row[0] for row in rows]),
+                    multipliers=np.zeros(0),
+                    active_set=np.zeros(0, dtype=bool),
+                    objective_value=objective,
+                    solver_info=SolverInfo(iterations=iters, converged=True,
+                                           restarts=restarts))
+
+
+def _lower(a, b):
+    """The lower of two local minima (y, sums, iterations) from the two
+    starts, iterations summed; an objective tie within TIE_TOL breaks
+    toward smaller y."""
+    (ya, sa, ia), (yb, sb, ib) = a, b
+    if abs(sa[0] - sb[0]) <= TIE_TOL:
+        y, sums = (ya, sa) if ya <= yb else (yb, sb)
+    else:
+        y, sums = (ya, sa) if sa[0] < sb[0] else (yb, sb)
+    return y, sums, ia + ib
+
+
+def _check_row(spec, i, n, y, sums, iters, tol, scale):
+    """SolverDiverged for row i if its y or objective is not finite, or if
+    its f' at y missed the stationarity tolerance."""
     if not (math.isfinite(y) and math.isfinite(sums[0])):
         raise SolverDiverged(
-            f"pooling overflowed: y = {y!r}, objective = {sums[0]!r} "
-            f"(n={x.size}, penalty={spec.kind.value}, alpha={spec.alpha}, "
-            f"max|x| = {max(-lo, hi):.3e})")
+            f"pooling overflowed in row {i}: y = {y!r}, objective = "
+            f"{sums[0]!r} (n={n}, penalty={spec.kind.value}, "
+            f"alpha={spec.alpha}, max|x| = {scale:.3e})")
     # the polish only ever shrinks |f'|, so a solver that stalled a few
     # ulps short of tol is judged by where the polish landed
     if spec.kind is not Penalty.QUADRATIC and not (
             abs(sums[1]) <= max(tol, STATIONARITY_TOL)):
         raise SolverDiverged(
-            f"pooling stalled at |f'| = {abs(sums[1]):.3e} after {iters} "
-            f"iterations (n={x.size}, penalty={spec.kind.value}, "
+            f"pooling stalled in row {i} at |f'| = {abs(sums[1]):.3e} after "
+            f"{iters} iterations (n={n}, penalty={spec.kind.value}, "
             f"alpha={spec.alpha})")
-    return Solution(y=np.array([y]), multipliers=np.zeros(0),
-                    active_set=np.zeros(0, dtype=bool),
-                    objective_value=sums[0],
-                    solver_info=SolverInfo(iterations=iters, converged=True,
-                                           restarts=restarts))
 
 
 def robust_pool_gradient(x, spec, y):

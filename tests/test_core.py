@@ -166,6 +166,19 @@ def test_gallery_solve_nonfinite_output_is_solver_diverged():
         solve(np.full(6, 1e308))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["disc_inequality", "circle_equality",
+                                  "spherical_alignment"])
+def test_gallery_sphere_solves_survive_norm_overflow(name):
+    """||x|| overflows when squared although it is finite: y is still the
+    unit direction of x."""
+    _, solve = GALLERY[name]()
+    y = solve(np.array([1e308, 1e308, 0.0])).y
+    np.testing.assert_allclose(y, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+                               rtol=1e-15, atol=0.0)
+    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_solution_invariants_pooling():
     rng = np.random.default_rng(3)
     x = rng.normal(size=8)

@@ -608,6 +608,20 @@ def test_build_context_nonfinite_stack_or_gradient_is_a_node_error(
                       np.array(x), np.array(y))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("y", [[800.0, 0.0], [np.nan, 0.0]],
+                         ids=["overflow", "nan"])
+def test_numeric_derivative_of_nonfinite_value_is_undefined_gradient(y):
+    """Without analytic derivatives, numdiff differences the objective; a
+    non-finite value there (cosh(800) overflows) is an UndefinedGradient
+    naming the shapes, not numdiff's raw ValueError."""
+    problem = dataclasses.replace(gallery.strongly_convex_problem(3, 2, 0)[0],
+                                  derivatives=None)
+    with pytest.raises(UndefinedGradient,
+                       match=r"x of shape \(3,\), y of shape \(2,\)"):
+        build_context(problem, np.zeros(3), np.array(y))
+
+
 def test_singular_hessian_fallback_fetches_second_derivatives_once():
     calls = []
     problem = DeclarativeProblem(

@@ -60,6 +60,49 @@ def test_penalty_derivatives_match_value_fd():
             assert penalty_d2(spec, z) == pytest.approx(d2_fd, abs=1e-8)
 
 
+def _vector_sums(code, alpha, u, x):
+    """The penalty sums of one row, written as plain vector arithmetic."""
+    z = u - x
+    add = np.add.reduce
+    if code == _kernels.QUADRATIC:
+        return 0.5 * float(z @ z), float(add(z)), float(z.size)
+    if code == _kernels.PSEUDO_HUBER:
+        t = 1.0 + (z / alpha) ** 2
+        s = np.sqrt(t)
+        return (float(alpha * alpha * add(s - 1.0)), float(add(z / s)),
+                float(add(t ** -1.5)))
+    inl = np.abs(z) <= alpha
+    if code == _kernels.HUBER:
+        val = np.where(inl, 0.5 * z * z, alpha * (np.abs(z) - 0.5 * alpha))
+        return (float(add(val)), float(add(np.where(inl, z, alpha * np.sign(z)))),
+                float(np.count_nonzero(inl)))
+    if code == _kernels.WELSCH:
+        a2 = alpha * alpha
+        ex = np.exp(-0.5 * z * z / a2)
+        return (float(add(1.0 - ex)), float(add(z / a2 * ex)),
+                float(add((a2 - z * z) / (a2 * a2) * ex)))
+    val = np.where(inl, 0.5 * z * z, 0.5 * alpha * alpha)
+    return (float(add(val)), float(add(np.where(inl, z, 0.0))),
+            float(np.count_nonzero(inl)))
+
+
+@pytest.mark.parametrize("code", range(5))
+def test_stacked_sums_are_bit_identical_to_vector_sums(code):
+    """Each row of a (B, n) kernel pass, and the vector form, round exactly
+    as the plain vector arithmetic: the stacked pooling solves rely on it."""
+    rng = np.random.default_rng(code)
+    for n in (1, 2, 7, 33, 100, 257, 5000):
+        B = int(rng.integers(1, 9))
+        X = rng.standard_normal((B, n)) * 10.0 ** rng.uniform(-3, 3)
+        u = rng.standard_normal(B)
+        alpha = 10.0 ** rng.uniform(-1, 1)
+        stacked = np.stack(_kernels.penalty_sums(code, alpha, u, X), axis=1)
+        for i in range(B):
+            ref = _vector_sums(code, alpha, float(u[i]), X[i])
+            assert tuple(stacked[i].tolist()) == ref
+            assert _kernels.penalty_sums(code, alpha, float(u[i]), X[i]) == ref
+
+
 def test_welsch_weights_survive_huge_spread():
     """Max-exponent scaling keeps weights representable when residual
     magnitudes differ by hundreds of squared alphas."""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from optnode import _kernels
-from optnode.cli import STUDY_FRACTIONS, main
+from optnode.cli import (STUDY_ALPHA, STUDY_FRACTIONS, STUDY_PENALTIES,
+                         main, run_study)
 from optnode.core import InfeasibleProblem, SolverDiverged, UndefinedGradient
 from optnode.implicit_diff import gradient_unconstrained
 from optnode.numdiff import fd_jacobian
@@ -358,3 +359,53 @@ def test_welsch_start_where_every_weight_is_below_rounding(kernel_passes):
     sol = robust_pool(x, spec)
     assert abs(sol.y[0]) <= 1e-9
     assert len(kernel_passes) <= 20
+
+
+def _study_reference(seed, trials, points, sigma=0.1, alpha=STUDY_ALPHA):
+    """run_study's rows recomputed with one vector pool per array."""
+    specs = [PenaltySpec(kind, alpha) for kind in STUDY_PENALTIES]
+    totals = {(f, s.kind.value): 0.0 for f in STUDY_FRACTIONS for s in specs}
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        mu = float(rng.uniform(-1.0, 1.0))
+        for f in STUDY_FRACTIONS:
+            n_out = int(round(f * points))
+            x = np.concatenate([
+                mu + sigma * rng.standard_normal(points - n_out),
+                rng.uniform(-1.0, 1.0, n_out)])
+            for s in specs:
+                totals[(f, s.kind.value)] += abs(
+                    float(robust_pool(x, s).y[0]) - mu)
+    return [{"outlier_fraction": f, "penalty": s.kind.value,
+             "estimator_error": totals[(f, s.kind.value)] / trials,
+             "trials": trials}
+            for f in STUDY_FRACTIONS for s in specs]
+
+
+def test_study_pools_each_penalty_as_one_stack():
+    """The study's stacked pools give exactly the per-array results."""
+    assert run_study(seed=3, trials=5, points=40) == _study_reference(3, 5, 40)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stack_costs_no_more_passes_than_its_longest_row(kind,
+                                                         kernel_passes):
+    """Rows run in lockstep: a stack of the study's five arrays takes no
+    more kernel passes than the costliest of them pooled alone."""
+    spec = PenaltySpec(kind, alpha=0.5)
+    X = np.stack([_study_draw(327, f) for f in STUDY_FRACTIONS])
+    longest = 0
+    for x in X:
+        kernel_passes.clear()
+        robust_pool(x, spec)
+        longest = max(longest, len(kernel_passes))
+    kernel_passes.clear()
+    robust_pool(X, spec)
+    assert 1 <= len(kernel_passes) <= longest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_overflow_names_its_row():
+    X = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3e200]])
+    with pytest.raises(SolverDiverged, match=r"overflowed in row 1: "):
+        robust_pool(X, PenaltySpec("pseudo_huber", 1.0))

@@ -2,6 +2,7 @@
 non-finite or subnormal entries."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,3 +123,82 @@ def test_convex_pooling_is_translation_equivariant(case, c):
         spec = PenaltySpec(kind, alpha)
         y = robust_pool(x, spec).y[0]
         assert abs(robust_pool(x + c, spec).y[0] - c - y) <= 1e-10 * scale
+
+
+@st.composite
+def stacks(draw):
+    """A (B, n) stack, B in [1, 8] and n in [1, 60], of clustered rows with
+    gross outliers, plus a penalty spec."""
+    B, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    spec = PenaltySpec(draw(st.sampled_from(KINDS)),
+                       10.0 ** draw(st.floats(-2.0, math.log10(30.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = (rng.uniform(-3.0, 3.0, (B, 1))
+         + 10.0 ** rng.uniform(-3.0, 1.0, (B, 1)) * rng.standard_normal((B, n)))
+    out = rng.random((B, n)) < draw(st.floats(0.0, 0.5))
+    X[out] = rng.uniform(-20.0, 20.0, int(out.sum()))
+    return X, spec
+
+
+def _counting_kernel():
+    """(patch, passes): patching counts calls of the penalty-sum kernel."""
+    passes = []
+    inner = _kernels.penalty_sums
+
+    def counted(*args):
+        passes.append(args[2])
+        return inner(*args)
+
+    return mock.patch.object(_kernels, "penalty_sums", counted), passes
+
+
+@settings(max_examples=80)
+@given(stacks())
+def test_stacked_rows_are_the_vector_pools(case):
+    """Row i of a stacked pool is bit-identical to pooling X[i] alone; the
+    objective is the row-order sum and the iterations the total."""
+    X, spec = case
+    rows = []
+    for i, x in enumerate(X):
+        try:
+            rows.append(robust_pool(x, spec))
+        except NodeError as err:
+            with pytest.raises(type(err), match=rf"\brow {i}\b"):
+                robust_pool(X, spec)
+            return
+    sol = robust_pool(X, spec)
+    assert sol.y.shape == (len(X),)
+    assert sol.y.tobytes() == b"".join(r.y.tobytes() for r in rows)
+    objective = rows[0].objective_value
+    for r in rows[1:]:
+        objective += r.objective_value
+    assert sol.objective_value == objective
+    assert sol.solver_info.iterations == sum(r.solver_info.iterations
+                                             for r in rows)
+    assert sol.solver_info.restarts == rows[0].solver_info.restarts
+
+
+@settings(max_examples=40)
+@given(stacks(), st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_nonfinite_row_raises_before_any_pass(case, bad, seed):
+    X, spec = case
+    rng = np.random.default_rng(seed)
+    i, j = int(rng.integers(len(X))), int(rng.integers(X.shape[1]))
+    X[i, j] = bad
+    patch, passes = _counting_kernel()
+    with patch, pytest.raises(
+            InfeasibleProblem,
+            match=rf"row {i} has 1 non-finite of n={X.shape[1]} "):
+        robust_pool(X, spec)
+    assert passes == []
+
+
+@settings(max_examples=20)
+@given(stacks())
+def test_empty_or_three_dimensional_stack_is_a_value_error(case):
+    X, spec = case
+    B, n = X.shape
+    for bad in (np.zeros((0, n)), np.zeros((B, 0)), X[None], X[..., None]):
+        with pytest.raises(ValueError):
+            robust_pool(bad, spec)
