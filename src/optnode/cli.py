@@ -594,7 +594,7 @@ def cmd_train(args, parser):
         "iteration": result.iterations,
         "objective": float(task.upper_objective(result.theta, final.y)),
         "step_inf": 0.0,
-        "one_sided": bool(task.lower.last_one_sided),
+        "one_sided": rows[-1]["one_sided"] if rows else False,
         "theta": [float(v) for v in result.theta],
     })
     _emit(args, "train",

@@ -1,6 +1,11 @@
 """Composition of nodes into chains, and gradient descent through them.
 
 A node is anything with solve / jacobian / vjp and declared dimensions.
+Nodes are stateless: one holds its dimensions, its spec or problem and
+its solver, nothing per call, so one node can be shared across threads
+and chains.  vjp(v, x, solution) returns the pair (v^T Dy, one_sided),
+where one_sided is the flag the node's Jacobian at (x, solution) carries.
+
 Chains validate adjacent dimensions, cache every intermediate Solution on
 the forward pass, and run the backward pass as right-to-left VJPs so no
 intermediate Jacobian product is ever materialized unless asked for.  A
@@ -34,9 +39,6 @@ class Node:
     def __init__(self, input_dim, output_dim):
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
-        self.solve_count = 0
-        self.vjp_count = 0
-        self.last_one_sided = False
 
     def solve(self, x):
         raise NotImplementedError
@@ -45,9 +47,9 @@ class Node:
         raise NotImplementedError
 
     def vjp(self, v, x, solution):
+        """(v^T Dy, one_sided) at (x, solution), from the node's Jacobian."""
         jac = self.jacobian(x, solution)
-        self.vjp_count += 1
-        return np.asarray(v, dtype=float) @ jac.matrix
+        return np.asarray(v, dtype=float) @ jac.matrix, jac.one_sided
 
 
 class ImperativeNode(Node):
@@ -60,7 +62,6 @@ class ImperativeNode(Node):
         self._jac = jac
 
     def solve(self, x):
-        self.solve_count += 1
         y = np.asarray(self._fun(np.asarray(x, dtype=float)), dtype=float)
         return Solution(y=y, multipliers=np.zeros(0),
                         active_set=np.zeros(0, dtype=bool),
@@ -77,36 +78,29 @@ class ImperativeNode(Node):
 class DeclarativeNode(Node):
     """A DeclarativeProblem plus its solver, differentiated implicitly."""
 
-    def __init__(self, problem, solver, path="auto",
-                 zero_multiplier_branch="constrained"):
+    def __init__(self, problem, solver):
         super().__init__(problem.input_dim, problem.output_dim)
         self.problem = problem
         self.solver = solver
-        self.path = path
-        self.zero_multiplier_branch = zero_multiplier_branch
 
     def solve(self, x):
-        self.solve_count += 1
         return self.solver(np.asarray(x, dtype=float))
 
     def _context(self, x, solution):
         lam = solution.multipliers if solution.multipliers.size else None
-        return implicit_diff.build_context(
-            self.problem, x, solution.y, multipliers=lam, path=self.path,
-            zero_multiplier_branch=self.zero_multiplier_branch)
+        return implicit_diff.build_context(self.problem, x, solution.y,
+                                           multipliers=lam)
 
     def jacobian(self, x, solution):
         ctx = self._context(x, solution)
-        self.last_one_sided = ctx.one_sided
         return Jacobian(implicit_diff.jacobian_from_context(ctx),
                         one_sided=ctx.one_sided,
                         rank_deficient_fallback=ctx.rank_deficient_fallback)
 
     def vjp(self, v, x, solution):
         ctx = self._context(x, solution)
-        self.last_one_sided = ctx.one_sided
-        self.vjp_count += 1
-        return implicit_diff.vjp(v, ctx, mode="stream_columns")
+        return (implicit_diff.vjp(v, ctx, mode="stream_columns"),
+                ctx.one_sided)
 
 
 class PoolingNode(Node):
@@ -117,18 +111,12 @@ class PoolingNode(Node):
         self.spec = spec
 
     def solve(self, x):
-        self.solve_count += 1
         return pooling.robust_pool(x, self.spec)
 
     def jacobian(self, x, solution):
-        jac = pooling.robust_pool_gradient(x, self.spec, solution.y[0])
-        self.last_one_sided = jac.one_sided
-        return jac
+        return pooling.robust_pool_gradient(x, self.spec, solution.y[0])
 
-    def vjp(self, v, x, solution):
-        jac = self.jacobian(x, solution)
-        self.vjp_count += 1
-        return np.asarray(v, dtype=float) @ jac.matrix
+    vjp = Node.vjp  # an entry of its own, so a tracer can wrap it per class
 
 
 class ProjectionNode(Node):
@@ -139,19 +127,13 @@ class ProjectionNode(Node):
         self.spec = spec
 
     def solve(self, x):
-        self.solve_count += 1
         return projection.project(x, self.spec)
 
     def jacobian(self, x, solution):
-        jac = projection.project_gradient(x, self.spec, solution.y)
-        self.last_one_sided = jac.one_sided
-        return jac
+        return projection.project_gradient(x, self.spec, solution.y)
 
     def vjp(self, v, x, solution):
-        out, self.last_one_sided = projection.project_vjp(
-            v, x, self.spec, solution.y)
-        self.vjp_count += 1
-        return out
+        return projection.project_vjp(v, x, self.spec, solution.y)
 
 
 class NodeChain:
@@ -197,7 +179,7 @@ class NodeChain:
         out = np.asarray(v, dtype=float).ravel()
         for node, x_i, sol in zip(reversed(self.nodes), reversed(inputs),
                                   reversed(solutions)):
-            out = node.vjp(out, x_i, sol)
+            out, _ = node.vjp(out, x_i, sol)
         return out
 
     def jacobian(self, x, solutions):
@@ -220,7 +202,8 @@ class BilevelTask:
     upper_grad_theta / upper_grad_y are optional analytic partials; when
     absent the partials come from central differences.  When
     upper_is_lower_objective is set, the descent direction is the partial
-    in theta alone and no VJP is performed.
+    in theta alone and no VJP is performed, so every row reports
+    one_sided False.
     """
     upper_objective: object
     lower: Node
@@ -260,8 +243,10 @@ def bilevel_train(task, theta0):
     assembles the total gradient (partial in theta plus the VJP of the
     partial in y through the lower node, unless the shortcut applies), and
     takes a fixed step.  Stops at max_iters or when the step is below
-    1e-10 in the max norm.  A lower-solver failure is reported as
-    InfeasibleProblem tagged with the iteration at which it occurred.
+    1e-10 in the max norm.  Each row's one_sided is the flag returned by
+    that iteration's lower vjp, False on the shortcut where none runs.  A
+    lower-solver failure is reported as InfeasibleProblem tagged with the
+    iteration at which it occurred.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     result = TrainResult(theta=theta)
@@ -275,9 +260,10 @@ def bilevel_train(task, theta0):
         J = float(task.upper_objective(theta, sol.y))
         gt, gy = _upper_partials(task, theta, sol.y)
         if gy is None:
-            total = gt
+            total, one_sided = gt, False   # no backward pass ran
         else:
-            total = gt + task.lower.vjp(gy, theta, sol)
+            g, one_sided = task.lower.vjp(gy, theta, sol)
+            total = gt + g
         step = -task.step_size * total
         theta = theta + step
         step_inf = float(np.max(np.abs(step)))
@@ -286,7 +272,7 @@ def bilevel_train(task, theta0):
             "objective": J,
             "grad_inf": float(np.max(np.abs(total))),
             "step_inf": step_inf,
-            "one_sided": bool(task.lower.last_one_sided),
+            "one_sided": bool(one_sided),
             "theta": theta.copy(),
         })
         result.iterations = it + 1

@@ -308,34 +308,25 @@ class SolutionResiduals:
 def solution_residuals(problem, x, sol):
     """KKT residuals of a Solution, for asserting the Solution invariants.
 
-    Uses analytic first derivatives when the problem provides them and
-    central finite differences otherwise.
+    First derivatives in u come from numdiff.first_y: analytic when the
+    problem provides them, central finite differences otherwise.
     """
     from . import numdiff  # late import; numdiff has no core dependency cycle
 
     x = np.asarray(x, dtype=float)
     y = sol.y
-    d = problem.derivatives
-    cfg = numdiff.FdConfig()
 
     if problem.objective is None:
-        f_y = np.zeros(problem.output_dim)
-    elif d is not None and d.f_y is not None:
-        f_y = np.asarray(d.f_y(x, y), dtype=float)
+        stacked = np.zeros(problem.output_dim)
     else:
-        f_y = numdiff.fd_gradient(lambda u: problem.objective(x, u), y, cfg)
-
-    stacked = f_y.copy()
+        stacked = numdiff.first_y(problem, "f")(x, y)[0].copy()
     eq_violation = 0.0
     lam = sol.multipliers
     k = 0
     if problem.eq_constraints is not None:
         h = np.atleast_1d(problem.eq_constraints(x, y))
         eq_violation = float(np.max(np.abs(h))) if h.size else 0.0
-        if d is not None and d.h_y is not None:
-            A = np.asarray(d.h_y(x, y), dtype=float)
-        else:
-            A = numdiff.fd_jacobian(lambda u: problem.eq_constraints(x, u), y, cfg)
+        A = numdiff.first_y(problem, "h")(x, y)
         for i in range(A.shape[0]):
             stacked -= lam[k + i] * A[i]
         k += A.shape[0]
@@ -345,10 +336,7 @@ def solution_residuals(problem, x, sol):
     if problem.ineq_constraints is not None:
         g = np.atleast_1d(problem.ineq_constraints(x, y))
         ineq_violation = float(np.max(g)) if g.size else -np.inf
-        if d is not None and d.g_y is not None:
-            G = np.asarray(d.g_y(x, y), dtype=float)
-        else:
-            G = numdiff.fd_jacobian(lambda u: problem.ineq_constraints(x, u), y, cfg)
+        G = numdiff.first_y(problem, "g")(x, y)
         for i in range(G.shape[0]):
             stacked -= lam[k + i] * G[i]
             if sol.active_set.size and sol.active_set[i]:

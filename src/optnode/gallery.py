@@ -6,6 +6,8 @@ are deterministic smooth functions of the input so they can be
 differentiated numerically and compared against the implicit-gradient
 engine.  Every solve raises InfeasibleProblem on an x with a non-finite
 entry, before any work, and SolverDiverged when y comes out non-finite.
+A solve raises no numpy floating-point warning: an overflow in it gives
+that error or an objective_value of inf.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _finite_io(solve):
         if bad:
             raise InfeasibleProblem(
                 f"gallery input has {bad} non-finite of n={x.size} entries")
-        sol = solve(x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sol = solve(x)
         if not np.isfinite(sol.y).all():
             raise SolverDiverged(
                 f"gallery solve gave a non-finite y of m={sol.y.size} "
@@ -177,8 +180,7 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
             for _ in range(40):
                 un = u - t * step[:output_dim]
                 ln = lam - t * step[output_dim:]
-                with np.errstate(over="ignore"):
-                    r1n, r2n, resn = residual(un, ln)
+                r1n, r2n, resn = residual(un, ln)
                 if np.isfinite(resn) and resn < res:
                     u, lam, r1, r2, res = un, ln, r1n, r2n, resn
                     break
@@ -415,11 +417,9 @@ def wide_coupling_problem(output_dim, input_dim, seed):
         input_dim=n, output_dim=m, derivatives=derivs)
 
     def solve(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # an overflowing W x gives a non-finite y: SolverDiverged
-            Wx = W @ x
-            y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
-            value = float(0.5 * y @ Q @ y - y @ Wx)
+        Wx = W @ x   # an overflowing W x gives a non-finite y
+        y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
+        value = float(0.5 * y @ Q @ y - y @ Wx)
         return _solution(y, np.zeros(0), 1, value)
 
     return problem, _finite_io(solve)

@@ -161,10 +161,7 @@ def _sourced(helper):
 
 @_sourced
 def _f_y(problem, x, y):
-    d = problem.derivatives
-    if d is not None and d.f_y is not None:
-        return np.asarray(d.f_y(x, y), dtype=float)
-    return numdiff.fd_gradient(lambda u: problem.objective(x, u), y)
+    return numdiff.first_y(problem, "f")(x, y)[0]
 
 
 @_sourced
@@ -198,10 +195,8 @@ def _constraint_first(problem, x, y, which):
         return (np.zeros((0, problem.output_dim)),
                 np.zeros((0, problem.input_dim)))
     d = problem.derivatives
-    a_cb = getattr(d, which + "_y", None) if d is not None else None
     c_cb = getattr(d, which + "_x", None) if d is not None else None
-    A = (np.asarray(a_cb(x, y), dtype=float) if a_cb is not None
-         else numdiff.fd_jacobian(lambda u: fn(x, u), y))
+    A = numdiff.first_y(problem, which)(x, y)
     C = (np.asarray(c_cb(x, y), dtype=float) if c_cb is not None
          else numdiff.fd_jacobian(lambda z: fn(z, y), x))
     return np.atleast_2d(A), np.atleast_2d(C)

@@ -105,9 +105,11 @@ class HessianBlocks:
     g_xy: np.ndarray
 
 
-def _first_y(problem, which):
-    """First derivative in u of the objective or one constraint bundle,
-    as a function (x, y) -> (rows, m).  Prefers analytic callbacks."""
+def first_y(problem, which):
+    """First derivative in u of the objective ("f") or a constraint bundle
+    ("h" or "g"), as a function (x, y) -> (rows, m): the problem's
+    analytic callback when it has one, central differences otherwise.
+    Every first derivative in u in the package comes from here."""
     d = problem.derivatives
     if which == "f":
         if d is not None and d.f_y is not None:
@@ -145,7 +147,7 @@ def fd_hessian_blocks(problem, x, y, config=FdConfig()):
         return 0.5 * (yy + yy.transpose(0, 2, 1)), xy.reshape(nrows, m, n)
 
     if problem.objective is not None:
-        f_yy, f_xy = second_blocks(_first_y(problem, "f"), 1)
+        f_yy, f_xy = second_blocks(first_y(problem, "f"), 1)
         H_f, B_f = f_yy[0], f_xy[0]
     else:
         H_f, B_f = np.zeros((m, m)), np.zeros((m, n))
@@ -155,10 +157,10 @@ def fd_hessian_blocks(problem, x, y, config=FdConfig()):
     g_yy = np.zeros((0, m, m)); g_xy = np.zeros((0, m, n))
     if problem.eq_constraints is not None:
         p = np.atleast_1d(problem.eq_constraints(x, y)).shape[0]
-        h_yy, h_xy = second_blocks(_first_y(problem, "h"), p)
+        h_yy, h_xy = second_blocks(first_y(problem, "h"), p)
     if problem.ineq_constraints is not None:
         q = np.atleast_1d(problem.ineq_constraints(x, y)).shape[0]
-        g_yy, g_xy = second_blocks(_first_y(problem, "g"), q)
+        g_yy, g_xy = second_blocks(first_y(problem, "g"), q)
 
     return HessianBlocks(H_f=H_f, B_f=B_f, h_yy=h_yy, h_xy=h_xy,
                          g_yy=g_yy, g_xy=g_xy)

@@ -117,14 +117,64 @@ def test_backward_is_linear_in_the_seed():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def _count_calls(node, *names):
+    """Wrap node's named methods on the instance; returns the call counts
+    by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(node, name)
+
+        def counted(*args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(*args)
+        setattr(node, name, counted)
+    return counts
+
+
 def test_backward_consumes_cached_solutions_only():
     chain = _smooth_chain()
     x = np.array([1.3, -0.4, 0.7])
     sols = chain.forward(x)
-    solves_before = [n.solve_count for n in chain.nodes]
+    counts = [_count_calls(n, "solve", "vjp") for n in chain.nodes]
     chain.backward(x, sols, np.array([1.0]))
-    assert [n.solve_count for n in chain.nodes] == solves_before
-    assert all(n.vjp_count == 1 for n in chain.nodes)
+    assert all(c["solve"] == 0 for c in counts)
+    assert all(c["vjp"] == 1 for c in counts)
+
+
+def _square_node(jac):
+    return ImperativeNode(lambda z: z ** 2, 2, 2, jac=jac)
+
+
+def _disc_node():
+    return DeclarativeNode(*gallery.disc_inequality_problem(2))
+
+
+# (node factory, x, expected one_sided)
+VJP_CASES = {
+    "imperative-analytic": (lambda: _square_node(lambda z: np.diag(2.0 * z)),
+                            [0.7, -1.3], False),
+    "imperative-fd": (lambda: _square_node(None), [0.7, -1.3], False),
+    "huber-off-kink": (lambda: PoolingNode(PenaltySpec(Penalty.HUBER, 1.0), 3),
+                       [0.0, 0.5, 3.0], False),
+    "huber-at-kink": (lambda: PoolingNode(PenaltySpec(Penalty.HUBER, 1.0), 2),
+                      [-1.0, 1.0], True),
+    "disc-touching": (_disc_node, [1.0, 0.0], True),
+    "disc-active": (_disc_node, [2.0, 0.5], False),
+    "disc-inactive": (_disc_node, [0.3, -0.2], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VJP_CASES))
+def test_node_vjp_returns_product_and_jacobian_flag(case):
+    make, x, expected = VJP_CASES[case]
+    node, x = make(), np.array(x)
+    sol = node.solve(x)
+    v = np.random.default_rng(3).normal(size=node.output_dim)
+    g, one_sided = node.vjp(v, x, sol)
+    jac = node.jacobian(x, sol)
+    want = v @ jac.matrix
+    assert np.max(np.abs(g - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert one_sided == jac.one_sided == expected
 
 
 def test_backward_rejects_stale_solution_list():
@@ -199,7 +249,8 @@ def test_quadratic_pool_theta_gradient():
     lower = PoolingNode(PenaltySpec(Penalty.QUADRATIC, 1.0), n)
     sol = lower.solve(theta0)
     gy = np.array([sol.y[0] - t])
-    total = lower.vjp(gy, theta0, sol)
+    total, one_sided = lower.vjp(gy, theta0, sol)
+    assert one_sided is False
     expected = np.full(n, (sol.y[0] - t) / n)
     np.testing.assert_allclose(total, expected, atol=1e-12)
 
@@ -246,8 +297,9 @@ def test_objective_shortcut_skips_backward_pass():
         step_size=0.05, max_iters=3,
         upper_grad_theta=d_theta,
         upper_is_lower_objective=True)
+    shortcut_calls = _count_calls(shortcut.lower, "vjp")
     res = bilevel_train(shortcut, theta0)
-    assert shortcut.lower.vjp_count == 0
+    assert shortcut_calls["vjp"] == 0
 
     # recover the applied directions and check them against D_X f
     theta = theta0.copy()
@@ -265,9 +317,32 @@ def test_objective_shortcut_skips_backward_pass():
         step_size=0.05, max_iters=3,
         upper_grad_theta=d_theta,
         upper_grad_y=lambda th, y: np.array([float(np.mean(y[0] - th))]))
+    full_calls = _count_calls(full.lower, "vjp")
     res_full = bilevel_train(full, theta0)
-    assert full.lower.vjp_count == 3
+    assert full_calls["vjp"] == 3
     np.testing.assert_allclose(res.theta, res_full.theta, atol=1e-12)
+
+
+def test_shortcut_rows_keep_no_flag_from_an_earlier_vjp():
+    """Nodes keep no per-call state: a VJP taken at a Huber kink leaves
+    nothing behind, and shortcut rows, where no backward pass runs,
+    report one_sided False."""
+    node = PoolingNode(PenaltySpec(Penalty.HUBER, 1.0), 2)
+    kink = np.array([-1.0, 1.0])
+    _, one_sided = node.vjp(np.ones(1), kink, node.solve(kink))
+    assert one_sided
+
+    def pooled_value(th, y):
+        z = np.abs(y[0] - th)
+        return float(np.sum(np.where(z <= 1.0, 0.5 * z ** 2, z - 0.5)))
+
+    task = BilevelTask(
+        upper_objective=pooled_value,
+        lower=node, step_size=0.05, max_iters=3,
+        upper_grad_theta=lambda th, y: -np.clip(y[0] - th, -1.0, 1.0),
+        upper_is_lower_objective=True)
+    res = bilevel_train(task, np.array([0.3, 2.0]))
+    assert [r["one_sided"] for r in res.rows] == [False, False, False]
 
 
 def test_trainer_tags_lower_failure_with_iteration():
@@ -276,11 +351,12 @@ def test_trainer_tags_lower_failure_with_iteration():
             super().__init__(n, 1)
             self._inner = PoolingNode(PenaltySpec(Penalty.QUADRATIC, 1.0), n)
             self._fail_at = fail_at
+            self.solves = 0
 
         def solve(self, x):
-            if self.solve_count >= self._fail_at:
+            if self.solves >= self._fail_at:
                 raise SolverDiverged("synthetic stall (n=3)")
-            self.solve_count += 1
+            self.solves += 1
             return self._inner.solve(x)
 
         def vjp(self, v, x, solution):

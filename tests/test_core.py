@@ -166,7 +166,6 @@ def test_gallery_solve_nonfinite_output_is_solver_diverged():
         solve(np.full(6, 1e308))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["disc_inequality", "circle_equality",
                                   "spherical_alignment"])
 def test_gallery_sphere_solves_survive_norm_overflow(name):
