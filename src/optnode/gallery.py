@@ -2,12 +2,13 @@
 
 Each constructor returns (problem, solve) where solve(x) -> Solution and
 the DeclarativeProblem carries analytic derivative callbacks.  Solvers
-are deterministic smooth functions of the input so they can be
-differentiated numerically and compared against the implicit-gradient
-engine.  Every solve raises InfeasibleProblem on an x with a non-finite
-entry, before any work, and SolverDiverged when y comes out non-finite.
-A solve raises no numpy floating-point warning: an overflow in it gives
-that error or an objective_value of inf.
+are deterministic smooth functions of the input, so they can be checked
+numerically against the implicit-gradient engine; two share one
+range-space KKT Newton (_kkt_newton says why the sphere keeps its own).
+Every solve raises InfeasibleProblem on an x with a non-finite entry,
+before any work, and SolverDiverged when y comes out non-finite.  A solve
+raises no numpy floating-point warning: an overflow in it gives that
+error or an objective_value of inf.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def _unit(x, nx):
     return s * ns, (x / s) / ns
 
 
-def _solution(y, multipliers, iterations, value):
+def _solution(y, multipliers, iterations, value, active=()):
     lam = np.asarray(multipliers, dtype=float).ravel()
     return Solution(y=np.asarray(y, dtype=float),
                     multipliers=lam,
-                    active_set=np.zeros(0, dtype=bool),
+                    active_set=np.array(active, dtype=bool),
                     objective_value=float(value),
                     solver_info=SolverInfo(iterations=iterations,
                                            converged=True))
@@ -89,32 +90,60 @@ def _convex_pieces(rng, input_dim, output_dim):
         return Q + e * np.diag(np.cosh(u))
 
     def f_xy(x, u):
-        t = np.tanh(M @ x)
+        with np.errstate(over="ignore"):   # tanh saturates where M x overflows
+            t = np.tanh(M @ x)
         return -(1.0 - t * t)[:, None] * M
 
     return Q, M, value, f_y, f_yy, f_xy
 
 
-def _damped_newton(f_y, f_yy, u0, tol=1e-12, max_iters=100, label=""):
-    """Newton iteration with step halving on the gradient norm."""
-    u = np.asarray(u0, dtype=float).copy()
-    g = f_y(u)
-    for it in range(max_iters):
-        gn = float(np.max(np.abs(g)))
-        if gn <= tol:
-            return u, it
-        du = np.linalg.solve(f_yy(u), g)
-        step = 1.0
-        for _ in range(50):
-            cand = u - step * du
-            gc = f_y(cand)
-            if float(np.max(np.abs(gc))) < gn:
-                u, g = cand, gc
+def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
+    """(u, lam, iterations): u = argmin f(x, .) s.t. A u = b (A None: p = 0).
+
+    Range-space KKT Newton (Nocedal & Wright, 2nd ed., sec. 16.2) from
+    u = 0, lam = 0: with r = (f_y - A'lam, A u - b), H = f_yy = LL',
+    V = L^-1 A' and w = L^-1 r1, the step solves V'V dlam = r2 - V'w and
+    du = L^-T (w + V dlam), and is halved until max|r| falls, to 1e-12
+    within 100 steps.  H not finite or not positive definite raises
+    SolverDiverged naming label.  The sphere keeps its own loop: its
+    Lagrangian Hessian f_yy - lam I is indefinite at most sphere points off
+    the solution (82 % of 28 800 sampled), where a Cholesky fails."""
+    A, b = (np.zeros((0, m)), np.zeros(0)) if A is None else (A, b)
+    u, lam = np.zeros(m), np.zeros(A.shape[0])
+    tri = scipy.linalg.solve_triangular
+
+    def residual(u, lam):
+        r1, r2 = f_y(x, u) - A.T @ lam, A @ u - b
+        return r1, r2, float(np.max(np.abs(np.concatenate([r1, r2]))))
+
+    r1, r2, res = residual(u, lam)
+    for it in range(100):
+        if res <= 1e-12:
+            return u, lam, it
+        H = f_yy(x, u)
+        if not np.isfinite(H).all():
+            raise SolverDiverged(f"{label} KKT newton: H {H.shape} not finite")
+        try:
+            L = scipy.linalg.cholesky(H, lower=True, check_finite=False)
+            w, dlam = tri(L, r1, lower=True, check_finite=False), np.zeros(0)
+            if A.shape[0]:
+                V = tri(L, A.T, lower=True, check_finite=False)
+                dlam = np.linalg.solve(V.T @ V, r2 - V.T @ w)
+                w = w + V @ dlam
+        except np.linalg.LinAlgError as err:
+            raise SolverDiverged(
+                f"{label} KKT newton: H {H.shape} not positive definite or "
+                f"A {A.shape} rank deficient") from err
+        du = tri(L, w, lower=True, trans="T", check_finite=False)
+        for t in 0.5 ** np.arange(50):
+            un, ln = u - t * du, lam - t * dlam
+            r1n, r2n, resn = residual(un, ln)
+            if resn < res:
+                u, lam, r1, r2, res = un, ln, r1n, r2n, resn
                 break
-            step *= 0.5
         else:
-            raise SolverDiverged(f"{label} newton stalled at |grad|={gn:.3e}")
-    raise SolverDiverged(f"{label} newton exceeded {max_iters} iterations")
+            break
+    raise SolverDiverged(f"{label} KKT newton stalled at residual {res:.3e}")
 
 
 def strongly_convex_problem(input_dim, output_dim, seed):
@@ -126,8 +155,7 @@ def strongly_convex_problem(input_dim, output_dim, seed):
         derivatives=Derivatives(f_y=f_y, f_yy=f_yy, f_xy=f_xy))
 
     def solve(x):
-        y, it = _damped_newton(lambda u: f_y(x, u), lambda u: f_yy(x, u),
-                               np.zeros(output_dim), label="unconstrained")
+        y, _, it = _kkt_newton(f_y, f_yy, x, output_dim, label="unconstrained")
         return _solution(y, np.zeros(0), it, value(x, y))
 
     return problem, _finite_io(solve)
@@ -146,48 +174,23 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
     if not rhs_depends_on_x:
         P = np.zeros_like(P)
     d = rng.normal(size=n_constraints) * 0.1
+    zero = np.zeros((output_dim, output_dim + input_dim))   # h is linear
 
     derivs = Derivatives(
         f_y=f_y, f_yy=f_yy, f_xy=f_xy,
         h_y=lambda x, u: A,
         h_x=lambda x, u: -P,
-        h_yy=lambda x, u, lam: np.zeros((output_dim, output_dim)),
-        h_xy=lambda x, u, lam: np.zeros((output_dim, input_dim)))
+        h_yy=lambda x, u, lam: zero[:, :output_dim],
+        h_xy=lambda x, u, lam: zero[:, output_dim:])
     problem = DeclarativeProblem(
         objective=value, input_dim=input_dim, output_dim=output_dim,
         eq_constraints=lambda x, u: A @ u - (P @ x + d),
         derivatives=derivs)
 
     def solve(x):
-        b = P @ x + d
-        u = np.zeros(output_dim)
-        lam = np.zeros(n_constraints)
-        def residual(u, lam):
-            r1 = f_y(x, u) - A.T @ lam
-            r2 = A @ u - b
-            return r1, r2, max(float(np.max(np.abs(r1))),
-                               float(np.max(np.abs(r2))))
-
-        r1, r2, res = residual(u, lam)
-        for it in range(100):
-            if res <= 1e-12:
-                return _solution(u, lam, it, value(x, u))
-            H = f_yy(x, u)
-            K = np.block([[H, -A.T],
-                          [A, np.zeros((n_constraints, n_constraints))]])
-            step = np.linalg.solve(K, np.concatenate([r1, r2]))
-            t = 1.0
-            for _ in range(40):
-                un = u - t * step[:output_dim]
-                ln = lam - t * step[output_dim:]
-                r1n, r2n, resn = residual(un, ln)
-                if np.isfinite(resn) and resn < res:
-                    u, lam, r1, r2, res = un, ln, r1n, r2n, resn
-                    break
-                t *= 0.5
-            else:
-                break
-        raise SolverDiverged(f"equality KKT newton stalled at residual {res:.3e}")
+        u, lam, it = _kkt_newton(f_y, f_yy, x, output_dim, A, P @ x + d,
+                                 label="equality")
+        return _solution(u, lam, it, value(x, u))
 
     return problem, _finite_io(solve)
 
@@ -295,10 +298,8 @@ def disc_inequality_problem(dim):
             nx, y = _unit(x, nx)
             lam = 1.0 - nx
         active = 0.5 * (y @ y - 1.0) >= -1e-8
-        return Solution(y=y, multipliers=np.array([lam]),
-                        active_set=np.array([active]),
-                        objective_value=0.5 * float(np.sum((y - x) ** 2)),
-                        solver_info=SolverInfo(iterations=0, converged=True))
+        return _solution(y, [lam], 0, 0.5 * float(np.sum((y - x) ** 2)),
+                         [active])
 
     return problem, _finite_io(solve)
 
@@ -344,8 +345,9 @@ def spherical_alignment_problem(dim):
 
     def f_yy(x, u):
         nu = float(np.linalg.norm(u))
-        return ((np.outer(x, u) + np.outer(u, x) + (x @ u) * np.eye(n))
-                / nu ** 3 - 3.0 * (x @ u) * np.outer(u, u) / nu ** 5)
+        with np.errstate(all="ignore"):   # inf H is the engine's NodeError
+            return ((np.outer(x, u) + np.outer(u, x) + (x @ u) * np.eye(n))
+                    / nu ** 3 - 3.0 * (x @ u) * np.outer(u, u) / nu ** 5)
 
     def f_xy(x, u):
         nu = float(np.linalg.norm(u))
@@ -378,8 +380,8 @@ def two_branch_problem(branch="plus"):
     sign = 1.0 if branch == "plus" else -1.0
 
     derivs = Derivatives(
-        h_y=lambda x, u: np.array([[2.0 * (u[0] - 1.0)]]),
-        h_x=lambda x, u: np.array([[-2.0 * x[0]]]),
+        h_y=lambda x, u: np.array([[2.0 * (float(u[0]) - 1.0)]]),
+        h_x=lambda x, u: np.array([[-2.0 * float(x[0])]]),
         h_yy=lambda x, u, lam: np.array([[2.0 * lam[0]]]),
         h_xy=lambda x, u, lam: np.zeros((1, 1)))
     problem = DeclarativeProblem(
@@ -388,8 +390,7 @@ def two_branch_problem(branch="plus"):
         derivatives=derivs)
 
     def solve(x):
-        y = np.array([1.0 + sign * x[0]])
-        return _solution(y, [0.0], 0, 0.0)
+        return _solution([1.0 + sign * x[0]], [0.0], 0, 0.0)
 
     return problem, _finite_io(solve)
 
@@ -419,7 +420,6 @@ def wide_coupling_problem(output_dim, input_dim, seed):
     def solve(x):
         Wx = W @ x   # an overflowing W x gives a non-finite y
         y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
-        value = float(0.5 * y @ Q @ y - y @ Wx)
-        return _solution(y, np.zeros(0), 1, value)
+        return _solution(y, np.zeros(0), 1, float(0.5 * y @ Q @ y - y @ Wx))
 
     return problem, _finite_io(solve)

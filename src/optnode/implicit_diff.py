@@ -18,8 +18,9 @@ pseudo_inverse_descent strip what they ignore and materialize one context.
 Second derivatives come from analytic callbacks when the problem carries
 them and from numdiff otherwise.  Constraint curvature is fetched already
 contracted with the multipliers (the h_yy / h_xy / g_yy / g_xy callbacks
-take lam and return one (m, m) or (m, n) sum), and a family whose
-multipliers are all zero is skipped.  vjp() evaluates v^T Dy(x)
+take lam and return one (m, m) or (m, n) sum); a family whose
+multipliers are all zero is skipped, and a sum that is exactly zero (a
+linear constraint's) is not subtracted.  vjp() evaluates v^T Dy(x)
 left-to-right; an empty stack streams B in blocks of max(1, n // m)
 columns from the problem's b_columns callback, one callback and one
 product per block, so the full matrix is never stored.  H is factored
@@ -252,11 +253,12 @@ def _rank_repair(A):
 
 
 def _checked_multipliers(multipliers, want, rows):
-    """Caller-supplied multipliers as a float vector of length want."""
+    """Caller-supplied multipliers as a finite float vector of length want."""
     lam = np.asarray(multipliers, dtype=float).ravel()
     if lam.size != want:
         raise DimensionMismatch(
             f"multipliers: expected length {want} ({rows}), got {lam.size}")
+    _require_finite("multipliers", lam)
     return lam
 
 
@@ -337,8 +339,9 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     problem has a b_columns callback.  A problem without objective uses
     H = I and B = 0: the minimum-norm solution of A Dy = -C, flagged when
     fewer than m rows are kept.  A non-finite x raises UndefinedGradient
-    before any callback runs, and so does a non-finite constraint Jacobian
-    or D_Y f (for multiplier recovery) before it is factored.
+    before any callback runs, and so does a non-finite multiplier, or a
+    non-finite constraint Jacobian or D_Y f (for multiplier recovery)
+    before it is factored.
     """
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
     _require_finite("x", x)
@@ -408,9 +411,12 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     for which, lam_c in (("h", lam[:p]), ("g", lam_g)):
         if lam_c.any():
             yy, xy = _constraint_curvature(problem, x, y, which, lam_c)
-            H, B, curved = H - yy, B - xy, True
-    if curved:
-        H = 0.5 * (H + H.T)
+            if yy.any():   # exactly-zero curvature leaves H as it is
+                H, curved = H - yy, True
+            if xy.any():
+                B = B - xy
+    if curved:   # halves first, so a finite H cannot overflow
+        H = 0.5 * H + 0.5 * H.T
 
     pinv = path == "pseudo_inverse"
     fr = _PinvFactor(H) if pinv else _Factor(H)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from optnode.compose import DeclarativeNode
 from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                          InfeasibleProblem, Jacobian, Solution, SolverDiverged,
-                          SolverInfo, solution_residuals, validate_problem)
+                          InfeasibleProblem, Jacobian, NodeError, Solution,
+                          SolverDiverged, SolverInfo, solution_residuals,
+                          validate_problem)
 from optnode import gallery, implicit_diff, pooling, projection
 
 
@@ -176,6 +178,30 @@ def test_gallery_sphere_solves_survive_norm_overflow(name):
     np.testing.assert_allclose(y, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
                                rtol=1e-15, atol=0.0)
     assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("make, x", [
+    (gallery.disc_inequality_problem, [1e308, 1e308, 0.0]),
+    (gallery.circle_equality_problem, [1e308, 1e308, 0.0]),
+    (gallery.spherical_alignment_problem, [1e308, 1e308, 0.0]),
+    (lambda n: gallery.strongly_convex_problem(n, 2, 0),
+     [-1.7e308, 1.7e308, 1.7e308]),
+    (lambda n: gallery.two_branch_problem("plus"), [1e308]),
+], ids=["disc", "circle", "alignment", "strongly-convex", "two-branch"])
+def test_backward_pass_near_the_float_range_is_finite_or_node_error(make, x):
+    """No numpy overflow warning escapes a node's vjp (the suite turns one
+    into an error): the curvature-weighted H is symmetrised without
+    overflow, the alignment f_yy and the tanh(M x) of f_xy saturate, and
+    the two-branch constraint Jacobian 2 (u - 1) overflows to inf."""
+    x = np.array(x)
+    problem, solve = make(x.size)
+    node = DeclarativeNode(problem, solve)
+    try:
+        sol = node.solve(x)
+        out, _ = node.vjp(np.ones(problem.output_dim), x, sol)
+    except NodeError:
+        return
+    assert np.isfinite(out).all()
 
 
 def test_solution_invariants_pooling():

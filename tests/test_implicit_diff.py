@@ -16,7 +16,8 @@ from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
                           NodeError, RankDeficientConstraints, SingularHessian,
                           UndefinedGradient)
 from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
-                                   build_context, gradient_equality,
+                                   _objective_blocks, build_context,
+                                   gradient_equality,
                                    gradient_feasibility, gradient_inequality,
                                    gradient_unconstrained,
                                    jacobian_from_context,
@@ -552,6 +553,18 @@ def test_inequality_multiplier_length_is_checked(count):
             call(problem, x, sol.y, multipliers=lam)
 
 
+def test_nonfinite_multiplier_is_a_node_error():
+    """The disc's multiplier 1 - ||x|| is -inf once ||x|| passes the float
+    range; the engine names it rather than weighting curvature by it."""
+    problem, solve = gallery.disc_inequality_problem(2)
+    x = np.array([1e308, 1.7e308])
+    sol = solve(x)
+    assert sol.multipliers[0] == -np.inf
+    with pytest.raises(UndefinedGradient,
+                       match=r"multipliers of shape \(1,\) has 1 non-finite"):
+        build_context(problem, x, sol.y, multipliers=sol.multipliers)
+
+
 def test_build_context_pseudo_inverse_path():
     problem, solve = gallery.spherical_alignment_problem(3)
     x = np.array([0.7, -0.1, 0.7])
@@ -843,6 +856,30 @@ def test_curvature_callbacks_get_stack_multipliers():
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], [-1.0, 0.0])
     np.testing.assert_allclose(ctx.H, 2.0 * np.eye(n), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("make, x", [
+    (lambda: gallery.linear_equality_problem(6, 5, 2, seed=4),
+     [0.3, -1.1, 0.6, 0.2, -0.4, 0.9]),
+    (lambda: gallery.sphere_equality_problem(3, 4, 24), [0.4, -0.3, 0.9]),
+    (lambda: gallery.disc_inequality_problem(3), [1.5, -0.5, 0.8]),
+], ids=["linear-zero", "sphere", "disc"])
+def test_curvature_subtraction_keeps_the_bits_of_the_full_formula(make, x):
+    """H and B are bit for bit 0.5 ((H_f - yy) + (H_f - yy)^T) and B_f - xy:
+    an exactly-zero curvature (the linear constraints') is skipped with no
+    bit moved, and a non-zero one (sphere, disc) is still subtracted."""
+    problem, solve = make()
+    x = np.array(x)
+    sol = solve(x)
+    ctx = build_context(problem, x, sol.y, multipliers=sol.multipliers)
+    H_f, B_f = _objective_blocks(problem, x, sol.y)
+    d, which = problem.derivatives, "h" if problem.eq_constraints else "g"
+    yy = getattr(d, which + "_yy")(x, sol.y, sol.multipliers)
+    xy = getattr(d, which + "_xy")(x, sol.y, sol.multipliers)
+    H = H_f - yy
+    assert ctx.H.tobytes() == (0.5 * (H + H.T)).tobytes()
+    assert ctx.B.tobytes() == (B_f - xy).tobytes()
+    assert yy.any() == (ctx.H.tobytes() != H_f.tobytes())
 
 
 def test_build_context_memory_on_linear_constraints():
