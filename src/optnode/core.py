@@ -327,9 +327,8 @@ def solution_residuals(problem, x, sol):
         h = np.atleast_1d(problem.eq_constraints(x, y))
         eq_violation = float(np.max(np.abs(h))) if h.size else 0.0
         A = numdiff.first_y(problem, "h")(x, y)
-        for i in range(A.shape[0]):
-            stacked -= lam[k + i] * A[i]
-        k += A.shape[0]
+        stacked -= lam[:A.shape[0]] @ A
+        k = A.shape[0]
 
     ineq_violation = -np.inf
     sign_violation = -np.inf
@@ -337,10 +336,11 @@ def solution_residuals(problem, x, sol):
         g = np.atleast_1d(problem.ineq_constraints(x, y))
         ineq_violation = float(np.max(g)) if g.size else -np.inf
         G = numdiff.first_y(problem, "g")(x, y)
-        for i in range(G.shape[0]):
-            stacked -= lam[k + i] * G[i]
-            if sol.active_set.size and sol.active_set[i]:
-                sign_violation = max(sign_violation, float(lam[k + i]))
+        lam_g = lam[k:k + G.shape[0]]
+        stacked -= lam_g @ G
+        if sol.active_set.size:
+            sign_violation = float(np.max(lam_g, initial=-np.inf,
+                                          where=sol.active_set))
 
     return SolutionResiduals(
         stationarity=float(np.max(np.abs(stacked))) if stacked.size else 0.0,

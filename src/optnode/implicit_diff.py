@@ -133,14 +133,6 @@ class AllocationCounter:
         self.live -= a.size
 
 
-class _NullCounter:
-    def adopt(self, a):
-        return a
-
-    def release(self, a):
-        pass
-
-
 # ---------------------------------------------------------------------------
 # Derivative sourcing (analytic callbacks preferred, numdiff otherwise)
 # ---------------------------------------------------------------------------
@@ -341,7 +333,9 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     fewer than m rows are kept.  A non-finite x raises UndefinedGradient
     before any callback runs, and so does a non-finite multiplier, or a
     non-finite constraint Jacobian or D_Y f (for multiplier recovery)
-    before it is factored.
+    before it is factored, or a non-finite B.  A streamed B is checked
+    block by block as the context's b_columns returns it, and the error
+    names the block's column range.
     """
     x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
     _require_finite("x", x)
@@ -417,6 +411,8 @@ def build_context(problem, x, y, multipliers=None, path="auto",
                 B = B - xy
     if curved:   # halves first, so a finite H cannot overflow
         H = 0.5 * H + 0.5 * H.T
+    if B is not None:
+        _require_finite("mixed derivative B", B)
 
     pinv = path == "pseudo_inverse"
     fr = _PinvFactor(H) if pinv else _Factor(H)
@@ -428,8 +424,11 @@ def build_context(problem, x, y, multipliers=None, path="auto",
         fr, pinv = _PinvFactor(H, fr.cond), True
     b_columns = None
     if stream:
-        b_columns = lambda cols: np.asarray(d.b_columns(x, y, cols),
-                                            dtype=float)
+        def b_columns(cols):
+            block = np.asarray(d.b_columns(x, y, cols), dtype=float)
+            if not np.isfinite(block).all():
+                _require_finite(f"B columns {cols[0]}..{cols[-1]}", block)
+            return block
     if stack.size < k:
         A, C = A[stack], C[stack]
     return GradientContext(
@@ -453,9 +452,8 @@ def _gate_schur(A, HiAt):
     return fm
 
 
-def _constrained_dy(fr, A, B, C, cnt=None):
+def _constrained_dy(fr, A, B, C, cnt):
     """Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B."""
-    cnt = cnt if cnt is not None else _NullCounter()
     HiB = cnt.adopt(fr.solve(B))
     HiAt = cnt.adopt(fr.solve(A.T))
     S = cnt.adopt(_gate_schur(A, HiAt).solve(A @ HiB - C))
@@ -464,7 +462,7 @@ def _constrained_dy(fr, A, B, C, cnt=None):
 
 def jacobian_from_context(context, counter=None):
     """Materialize the full Dy(x) from a context, shape (m, n)."""
-    cnt = counter if counter is not None else _NullCounter()
+    cnt = counter if counter is not None else AllocationCounter()
     fr = context.h_factorization
     B = context.B
     if B is None:
@@ -486,9 +484,9 @@ def vjp(v, context, mode="materialize", counter=None):
     an AllocationCounter to measure auxiliary storage.
     """
     v = np.asarray(v, dtype=float).ravel()
-    cnt = counter if counter is not None else _NullCounter()
+    cnt = counter if counter is not None else AllocationCounter()
     if mode == "materialize":
-        Dy = jacobian_from_context(context, counter)
+        Dy = jacobian_from_context(context, cnt)
         return v @ Dy
     if mode != "stream_columns":
         raise ValueError(f"unknown vjp mode {mode!r}")

@@ -4,11 +4,11 @@
 
 for five penalty functions phi.  Quadratic pooling is the ordinary mean;
 the others trade efficiency for outlier resistance, controlled by alpha.
-Forward solvers are exact scalar searches: safeguarded Newton for the
-convex penalties, and for the non-convex ones Newton with a half-quadratic
-majorise-minimise safeguard from two starts; each takes a small, bounded
-number of kernel passes.  The backward pass has closed-form
-normalized-weight gradients.
+The forward solve of every non-quadratic penalty is one exact scalar
+search, Newton with a majorise-minimise safeguard: from the median for the
+convex penalties, and from the mean and the median for the non-convex
+ones.  Each takes a small, bounded number of kernel passes.  The backward
+pass has closed-form normalized-weight gradients.
 
 robust_pool also pools each row of a (B, n) stack: y has shape (B,) and
 the objective is the sum of the row objectives.  The rows (and both starts
@@ -108,49 +108,19 @@ def _sums(spec, u, x):
 # _lockstep runs one program per row side by side and makes one kernel
 # pass over the stack per step.
 
-def _newton_bisect(lo, hi, u, tol, max_iters):
-    """Safeguarded Newton on f'(u) = 0 over the bracket [lo, hi] of x,
-    from u.
-
-    The convex penalties give a nondecreasing f', so the bracket is valid
-    and bisection alone would converge; Newton steps are taken whenever
-    they stay inside the shrinking bracket.  Returns (u, iterations,
-    (f, f', f'') at u).
-    """
-    if lo == hi:
-        return lo, 0, (yield lo)
-    for it in range(1, max_iters + 1):
-        sums = yield u
-        _, d1, d2 = sums
-        if abs(d1) <= tol:
-            return u, it, sums
-        if d1 > 0.0:
-            hi = u
-        else:
-            lo = u
-        if d2 > 0.0:
-            un = u - d1 / d2
-            if not (lo < un < hi):
-                un = 0.5 * (lo + hi)
-        else:
-            un = 0.5 * (lo + hi)
-        if un == u or hi - lo <= 1e-15 * max(1.0, abs(u)):
-            return u, it, sums
-        u = un
-    return u, max_iters, (yield u)
-
-
 def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
     """Newton with a majorise-minimise (MM) safeguard from u0, in [lo, hi],
-    over n points.
+    over n points: the search for every non-quadratic penalty.
 
     Newton is taken when f'' > 0 and it lowers f (or, with f level to
-    rounding, |f'|).  Otherwise the step minimises the half-quadratic
-    majoriser of f at u (Holland & Welsch 1977; Black & Rangarajan 1996):
-    u - f'/M, M = sum_i exp(-z_i^2 / 2 alpha^2) / alpha^2 = (n - f) / alpha^2
-    for Welsch; for the truncated quadratic M = f'', so Newton is the MM
-    step.  The MM step never raises f, and it keeps doubling while f falls.
-    No step goes uphill, so the search never jumps basins uphill.  Returns
+    rounding, |f'|).  Otherwise the step minimises a quadratic majoriser of
+    f at u, u - f'/M (Holland & Welsch 1977; Black & Rangarajan 1996):
+    M = n for pseudo-Huber and Huber, whose phi'' <= 1 makes f' n-Lipschitz;
+    M = sum_i exp(-z_i^2 / 2 alpha^2) / alpha^2 = (n - f) / alpha^2 for
+    Welsch; for the truncated quadratic M = f'', so Newton is the MM step.
+    The MM step never raises f, and it keeps doubling while f falls.  No
+    step goes uphill, so the search never jumps basins uphill.  Started
+    inside the data, its cost does not grow with the data's scale.  Returns
     (u, iterations, (f, f', f'') at u).
     """
     u = min(max(float(u0), lo), hi)
@@ -168,10 +138,11 @@ def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
                                  and abs(sn[1]) < abs(d1)):
                     u, sums = un, sn
                     continue
-        if spec.kind is not Penalty.WELSCH:
+        if spec.kind is Penalty.TRUNCATED_QUADRATIC:
             break                      # the rejected Newton step was the MM step
-        m = (n - f) / (spec.alpha * spec.alpha)
-        # every weight below the rounding of f: walk by alpha instead
+        m = ((n - f) / (spec.alpha * spec.alpha)
+             if spec.kind is Penalty.WELSCH else float(n))
+        # every Welsch weight below the rounding of f: walk by alpha instead
         step = -d1 / m if m > 0.0 else -math.copysign(spec.alpha, d1)
         un = min(max(u + step, lo), hi)
         if un == u:
@@ -262,13 +233,14 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
     row of a stack x of shape (B, n).  Returns one Solution with y of shape
     (B,), B = 1 for a vector.
 
-    Quadratic is the closed-form mean.  PseudoHuber/Huber are convex and
-    solved globally by safeguarded Newton.  Welsch/TruncatedQuadratic run
-    Newton with the majorise-minimise safeguard from both the mean and the
-    median and keep the lower local minimum; an objective tie within 1e-12
-    breaks toward smaller y.  The solvers return the (f, f', f'') they last
-    computed, which give the objectives and the stationarity check without
-    another kernel pass.
+    Quadratic is the closed-form mean.  Every other penalty runs one search,
+    _local_descent (Newton with a majorise-minimise safeguard).  Pseudo-
+    Huber and Huber are convex, so one start at the row median finds the
+    global minimum.  Welsch/TruncatedQuadratic start from both the mean and
+    the median and keep the lower local minimum; an objective tie within
+    1e-12 breaks toward smaller y.  The searches return the (f, f', f'')
+    they last computed, which give the objectives and the stationarity
+    check without another kernel pass.
 
     All rows, and both starts of each row, are solved in lockstep with one
     kernel pass per step; row i of a stack is bit-identical to pooling
@@ -296,24 +268,22 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
             f"pooling input row {i} has {count} non-finite of n={n} entries "
             f"(penalty={spec.kind.value}, alpha={spec.alpha})")
     lo, hi = lo.tolist(), hi.tolist()
-    mean = X.mean(-1).tolist()
 
     restarts = 0
     if spec.kind is Penalty.QUADRATIC:
-        rows = _lockstep(spec, X, [_at(u) for u in mean])
-    elif spec.kind in (Penalty.PSEUDO_HUBER, Penalty.HUBER):
-        rows = _lockstep(spec, X, [
-            _polished(_newton_bisect(lo[i], hi[i], mean[i], tol, max_iters),
-                      lo[i], hi[i]) for i in range(B)])
+        rows = _lockstep(spec, X, [_at(u) for u in X.mean(-1).tolist()])
     else:
-        # lanes 0..B-1 start at the row means, lanes B..2B-1 at the medians
-        starts = mean + np.median(X, -1).tolist()
-        lanes = _lockstep(spec, np.concatenate([X, X]), [
+        starts = _medians(X).tolist()
+        if spec.kind in (Penalty.WELSCH, Penalty.TRUNCATED_QUADRATIC):
+            # lanes 0..B-1 start at the row means, lanes B..2B-1 at the medians
+            starts = X.mean(-1).tolist() + starts
+            X, restarts = np.concatenate([X, X]), 1
+        rows = _lockstep(spec, X, [
             _polished(_local_descent(spec, n, u0, lo[k % B], hi[k % B], tol,
                                      max_iters), lo[k % B], hi[k % B])
             for k, u0 in enumerate(starts)])
-        rows = [_lower(a, b) for a, b in zip(lanes[:B], lanes[B:])]
-        restarts = 1
+        if restarts:
+            rows = [_lower(a, b) for a, b in zip(rows[:B], rows[B:])]
 
     objective, iters = 0.0, 0
     for i, (y, sums, it) in enumerate(rows):
@@ -326,6 +296,19 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
                     objective_value=objective,
                     solver_info=SolverInfo(iterations=iters, converged=True,
                                            restarts=restarts))
+
+
+def _medians(X):
+    """Row medians of a finite (B, n) stack, bit-identical to
+    np.median(X, -1): one partition around the middle, without np.median's
+    NaN scan and generic mean.  The sum starts from +0.0, as np.median's
+    mean does, so a zero sum is +0.0."""
+    n = X.shape[1]
+    k = n // 2
+    if n % 2:
+        return np.partition(X, k, -1)[:, k] + 0.0
+    part = np.partition(X, [k - 1, k], -1)
+    return 0.5 * (part[:, k - 1] + part[:, k] + 0.0)
 
 
 def _lower(a, b):

@@ -621,6 +621,47 @@ def test_build_context_nonfinite_stack_or_gradient_is_a_node_error(
                       np.array(x), np.array(y))
 
 
+def test_nonfinite_mixed_derivative_is_a_node_error():
+    """A NaN f_xy at a finite (x, y) is named when the context is built,
+    not returned as an all-NaN streamed vjp or met as cho_solve's raw
+    ValueError by the materialized paths."""
+    problem, solve = gallery.strongly_convex_problem(3, 2, 0)
+    x = np.array([0.3, -0.2, 0.5])
+    d = dataclasses.replace(problem.derivatives,
+                            f_xy=lambda x, u: np.full((2, 3), np.nan))
+    with pytest.raises(UndefinedGradient,
+                       match=r"mixed derivative B of shape \(2, 3\) has 6 "
+                             r"non-finite"):
+        build_context(dataclasses.replace(problem, derivatives=d), x,
+                      solve(x).y)
+
+
+def test_nonfinite_b_columns_block_is_named_by_its_column_range():
+    """A streamed B block with a NaN column raises UndefinedGradient naming
+    the block's columns, in both vjp modes and in jacobian_from_context."""
+    problem, solve = gallery.wide_coupling_problem(2, 5, 0)
+    x = np.linspace(-0.5, 0.5, 5)
+    columns = problem.derivatives.b_columns
+
+    def b_columns(x, u, cols):
+        block = columns(x, u, cols).copy()
+        block[:, cols == 3] = np.nan
+        return block
+
+    d = dataclasses.replace(problem.derivatives, b_columns=b_columns)
+    ctx = build_context(dataclasses.replace(problem, derivatives=d), x,
+                        solve(x).y)
+    v = np.array([1.0, -2.0])
+    # blocks of n // m = 2 columns: 0..1, 2..3, 4..4
+    with pytest.raises(UndefinedGradient,
+                       match=r"B columns 2\.\.3 of shape \(2, 2\) has 2 "
+                             r"non-finite"):
+        vjp(v, ctx, mode="stream_columns")
+    for apply in (lambda: vjp(v, ctx), lambda: jacobian_from_context(ctx)):
+        with pytest.raises(UndefinedGradient, match=r"B columns 0\.\.4 "):
+            apply()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("y", [[800.0, 0.0], [np.nan, 0.0]],
                          ids=["overflow", "nan"])

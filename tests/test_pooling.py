@@ -1,6 +1,9 @@
 """Robust pooling: solvers against grid-search oracles, gradients against
 closed forms and the generic engine."""
 
+import collections
+import math
+
 import numpy as np
 import pytest
 
@@ -409,3 +412,43 @@ def test_stacked_overflow_names_its_row():
     X = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3e200]])
     with pytest.raises(SolverDiverged, match=r"overflowed in row 1: "):
         robust_pool(X, PenaltySpec("pseudo_huber", 1.0))
+
+
+@pytest.mark.parametrize("kind, scales, y_far", [
+    ("huber", [3.0, 3e8, 3e20, 3e200], 0.5),
+    ("pseudo_huber", [3.0, 3e8, 3e20], 1.0 / math.sqrt(3.0)),
+], ids=["huber", "pseudo_huber"])
+def test_convex_pooling_cost_does_not_grow_with_the_data_scale(kind, scales,
+                                                                y_far):
+    """[0, 0, s] with alpha = 1: the descent starts at the median 0, so the
+    far point costs the same iterations at every scale.  A search over a
+    bracket as wide as the data took 2, 29 and 69 Huber iterations at
+    s = 3, 3e8 and 3e20, and overflowed at 3e200."""
+    spec = PenaltySpec(kind, 1.0)
+    iters = []
+    for s in scales:
+        # Huber's kernel also forms the discarded inlier value 0.5 z^2 of
+        # the far point, which overflows at 3e200 (ROADMAP item 2)
+        with np.errstate(over="ignore" if s > 1e150 else "raise"):
+            sol = robust_pool(np.array([0.0, 0.0, s]), spec)
+        iters.append(sol.solver_info.iterations)
+        if s > 3.0 or kind == "huber":
+            assert abs(sol.y[0] - y_far) <= 1e-12, s
+    assert len(set(iters)) == 1, iters
+
+
+def test_study_kernel_passes_per_penalty_are_pinned(monkeypatch):
+    """Kernel passes per penalty over run_study(seed=0, trials=50): the
+    deterministic cost of the benchmark's pool-study workload, pinned so a
+    pass regression fails here instead of hiding in timing noise."""
+    passes = collections.Counter()
+    inner = _kernels.penalty_sums
+
+    def counted(code, *args):
+        passes[code] += 1
+        return inner(code, *args)
+
+    monkeypatch.setattr(_kernels, "penalty_sums", counted)
+    run_study(seed=0, trials=50)
+    assert [passes[PenaltySpec(kind).code] for kind in ALL_KINDS] == [
+        50, 286, 212, 374, 381]

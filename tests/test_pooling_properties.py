@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from optnode import _kernels  # noqa: E402
 from optnode.core import (InfeasibleProblem, NodeError,  # noqa: E402
                           STATIONARITY_TOL)
-from optnode.pooling import (Penalty, PenaltySpec, robust_pool,  # noqa: E402
-                             robust_pool_gradient)
+from optnode.pooling import (Penalty, PenaltySpec, _medians,  # noqa: E402
+                             robust_pool, robust_pool_gradient)
 
 KINDS = list(Penalty)
 
@@ -202,3 +203,17 @@ def test_empty_or_three_dimensional_stack_is_a_value_error(case):
     for bad in (np.zeros((0, n)), np.zeros((B, 0)), X[None], X[..., None]):
         with pytest.raises(ValueError):
             robust_pool(bad, spec)
+
+
+@settings(max_examples=200)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 60)),
+                  elements=st.floats(-1e300, 1e300)))
+@example(np.array([[-0.0]]))
+@example(np.array([[-5e-324, 0.0], [-0.0, -0.0]]))
+def test_partition_median_is_np_median_bit_for_bit(X):
+    """The descent's start: odd and even n, n = 1, ties, signed zeros and
+    subnormals all give np.median's bits, so the non-convex starts keep
+    them."""
+    X = np.ascontiguousarray(X)
+    np.testing.assert_array_equal(_medians(X).view(np.int64),
+                                  np.median(X, -1).view(np.int64))
