@@ -40,9 +40,10 @@ def penalty_sums(code, alpha, u, x):
         s = np.sqrt(t)
         sums = alpha * alpha * add(s - 1.0), add(z / s), add(t ** -1.5)
     elif code == HUBER:
+        # square d1, not z: an outlier's z is never squared, so cannot overflow
         inl = np.abs(z) <= alpha
-        val = np.where(inl, 0.5 * z * z, alpha * (np.abs(z) - 0.5 * alpha))
         d1 = np.where(inl, z, alpha * np.sign(z))
+        val = np.where(inl, 0.5 * d1 * d1, alpha * (np.abs(z) - 0.5 * alpha))
         sums = add(val), add(d1), np.add.reduce(inl, -1, float)
     elif code == WELSCH:
         a2 = alpha * alpha
@@ -51,9 +52,9 @@ def penalty_sums(code, alpha, u, x):
                 add((a2 - z * z) / (a2 * a2) * ex))
     elif code == TRUNCATED_QUADRATIC:
         inl = np.abs(z) <= alpha
-        val = np.where(inl, 0.5 * z * z, 0.5 * alpha * alpha)
-        sums = (add(val), add(np.where(inl, z, 0.0)),
-                np.add.reduce(inl, -1, float))
+        d1 = np.where(inl, z, 0.0)
+        val = np.where(inl, 0.5 * d1 * d1, 0.5 * alpha * alpha)
+        sums = add(val), add(d1), np.add.reduce(inl, -1, float)
     else:
         raise ValueError(f"unknown penalty code {code}")
     if z.ndim > 1:

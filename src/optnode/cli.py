@@ -169,83 +169,46 @@ def _fd_of(solve):
     return lambda x: numdiff.fd_jacobian(lambda z: solve(z).y, x)
 
 
-def _run_convex_unconstrained(rng):
-    n = int(rng.integers(2, 6)); m = int(rng.integers(2, 6))
-    prob, solve = gallery.strongly_convex_problem(n, m, int(rng.integers(2**63)))
-    x = rng.normal(size=n)
-    sol = solve(x)
-    ctx = implicit_diff.build_context(prob, x, sol.y)
-    approx = implicit_diff.jacobian_from_context(ctx)
-    return approx, _fd_of(solve)(x), ctx.one_sided, ctx.rank_deficient_fallback
+def _run(draw, gradient, multipliers=False):
+    """A selector's run: draw(rng) gives (problem or spec, solve, x), and
+    gradient(problem or spec, x, y) at y = solve(x).y, with the solver's
+    multipliers appended when asked, is checked against finite
+    differences of solve."""
+    def run(rng):
+        what, solve, x = draw(rng)
+        sol = solve(x)
+        lam = (sol.multipliers,) if multipliers else ()
+        jac = gradient(what, x, sol.y, *lam)
+        return (jac.matrix, _fd_of(solve)(x), jac.one_sided,
+                jac.rank_deficient_fallback)
+    return run
 
 
-def _run_equality_linear(rng):
-    prob, solve = gallery.linear_equality_problem(3, 5, 2, int(rng.integers(2**63)))
-    x = rng.normal(size=3)
-    sol = solve(x)
-    jac = implicit_diff.gradient_equality(prob, x, sol.y, sol.multipliers)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
+def _seed(rng):
+    return int(rng.integers(2**63))
 
 
-def _run_equality_sphere(rng):
-    prob, solve = gallery.sphere_equality_problem(3, 4, int(rng.integers(2**63)))
-    x = rng.normal(size=3)
-    sol = solve(x)
-    jac = implicit_diff.gradient_equality(prob, x, sol.y, sol.multipliers)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
+def _gallery(make, min_norm=0.0):
+    """Draw make(rng)'s problem at a normal x with ||x|| >= min_norm."""
+    def draw(rng):
+        problem, solve = make(rng)
+        x = rng.normal(size=problem.input_dim)
+        while np.linalg.norm(x) < min_norm:
+            x = rng.normal(size=problem.input_dim)
+        return problem, solve, x
+    return draw
 
 
-def _run_equality_fixed_rhs(rng):
-    prob, solve = gallery.linear_equality_problem(
-        3, 5, 2, int(rng.integers(2**63)), rhs_depends_on_x=False)
-    x = rng.normal(size=3)
-    sol = solve(x)
-    jac = implicit_diff.gradient_equality(prob, x, sol.y)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
-
-
-def _run_equality_circle(rng):
-    prob, solve = gallery.circle_equality_problem(3)
-    x = rng.normal(size=3)
-    while np.linalg.norm(x) < 0.3:
-        x = rng.normal(size=3)
-    sol = solve(x)
-    jac = implicit_diff.gradient_equality(prob, x, sol.y)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
-
-
-def _run_inequality_disc(rng):
-    prob, solve = gallery.disc_inequality_problem(3)
+def _draw_disc(rng):
+    problem, solve = gallery.disc_inequality_problem(3)
     u = rng.normal(size=3)
     u /= np.linalg.norm(u)
     scale = rng.uniform(1.3, 2.0) if rng.integers(2) else rng.uniform(0.3, 0.8)
-    x = scale * u
-    sol = solve(x)
-    jac = implicit_diff.gradient_inequality(prob, x, sol.y, sol.multipliers)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
-
-
-def _run_feasibility_branch(rng):
-    prob, solve = gallery.two_branch_problem("plus")
-    x = rng.uniform(0.5, 1.5, size=1)
-    sol = solve(x)
-    jac = implicit_diff.gradient_feasibility(prob, x, sol.y)
-    return jac.matrix, _fd_of(solve)(x), jac.one_sided, jac.rank_deficient_fallback
-
-
-def _run_pseudo_inverse(rng):
-    prob, solve = gallery.spherical_alignment_problem(4)
-    x = rng.normal(size=4)
-    while np.linalg.norm(x) < 0.5:
-        x = rng.normal(size=4)
-    sol = solve(x)
-    ctx = implicit_diff.build_context(prob, x, sol.y, path="pseudo_inverse")
-    approx = implicit_diff.jacobian_from_context(ctx)
-    return approx, _fd_of(solve)(x), ctx.one_sided, ctx.rank_deficient_fallback
+    return problem, solve, scale * u
 
 
 def _run_vjp_stream(rng):
-    prob, solve = gallery.wide_coupling_problem(4, 300, int(rng.integers(2**63)))
+    prob, solve = gallery.wide_coupling_problem(4, 300, _seed(rng))
     x = rng.normal(size=300)
     v = rng.normal(size=4)
     sol = solve(x)
@@ -255,31 +218,30 @@ def _run_vjp_stream(rng):
     return approx, oracle, ctx.one_sided, ctx.rank_deficient_fallback
 
 
-def _pool_runner(kind):
+def _pool_draw(kind):
     spec = PenaltySpec(kind, 1.0)
     kinked = kind in (Penalty.HUBER, Penalty.TRUNCATED_QUADRATIC)
 
-    def run(rng):
+    def solve(z):
+        # oracle runs differentiate the solver, so solve extra tight
+        return robust_pool(z, spec, tol=1e-13)
+
+    def draw(rng):
         for _ in range(60):
             x = rng.normal(0.0, 1.0, 6)
-            # oracle runs differentiate the solver, so solve extra tight
-            sol = robust_pool(x, spec, tol=1e-13)
-            y = sol.y[0]
             if kinked:
+                y = solve(x).y[0]
                 if np.min(np.abs(np.abs(y - x) - spec.alpha)) < 1e-3:
                     continue
                 if not np.any(np.abs(y - x) < spec.alpha):
                     continue
             break
-        jac = robust_pool_gradient(x, spec, y)
-        oracle = numdiff.fd_jacobian(
-            lambda z: robust_pool(z, spec, tol=1e-13).y, x)
-        return jac.matrix, oracle, jac.one_sided, jac.rank_deficient_fallback
+        return spec, solve, x
 
-    return run
+    return draw
 
 
-def _project_runner(norm, surface, masked):
+def _project_draw(norm, surface, masked):
     spec = ProjectionSpec(norm, surface, masked_gradient=masked)
 
     def sample(rng):
@@ -307,34 +269,41 @@ def _project_runner(norm, surface, masked):
                 return x
         return x
 
-    def run(rng):
-        x = sample(rng)
-        sol = project(x, spec)
-        jac = project_gradient(x, spec, sol.y)
-        oracle = numdiff.fd_jacobian(lambda z: project(z, spec).y, x)
-        return jac.matrix, oracle, jac.one_sided, jac.rank_deficient_fallback
-
-    return run
+    return lambda rng: (spec, lambda z: project(z, spec), sample(rng))
 
 
 def gradcheck_selectors():
+    d = implicit_diff
     sels = [
         _Selector("convex-unconstrained", ("unconstrained",), (), 1e-6,
-                  _run_convex_unconstrained),
+                  _run(_gallery(lambda rng: gallery.strongly_convex_problem(
+                      int(rng.integers(2, 6)), int(rng.integers(2, 6)),
+                      _seed(rng))), d.gradient_unconstrained)),
         _Selector("equality-linear", ("equality",), (), 1e-6,
-                  _run_equality_linear),
+                  _run(_gallery(lambda rng: gallery.linear_equality_problem(
+                      3, 5, 2, _seed(rng))), d.gradient_equality,
+                       multipliers=True)),
         _Selector("equality-sphere", ("equality",), (), 1e-6,
-                  _run_equality_sphere),
+                  _run(_gallery(lambda rng: gallery.sphere_equality_problem(
+                      3, 4, _seed(rng))), d.gradient_equality,
+                       multipliers=True)),
         _Selector("equality-fixed-rhs", ("equality",), (), 1e-6,
-                  _run_equality_fixed_rhs),
+                  _run(_gallery(lambda rng: gallery.linear_equality_problem(
+                      3, 5, 2, _seed(rng), rhs_depends_on_x=False)),
+                       d.gradient_equality)),
         _Selector("equality-circle", ("equality",), (), 1e-6,
-                  _run_equality_circle),
+                  _run(_gallery(lambda rng: gallery.circle_equality_problem(3),
+                                0.3), d.gradient_equality)),
         _Selector("inequality-disc", ("inequality",), (), 1e-6,
-                  _run_inequality_disc),
+                  _run(_draw_disc, d.gradient_inequality, multipliers=True)),
         _Selector("feasibility-branch", ("feasibility",), (), 1e-8,
-                  _run_feasibility_branch),
+                  _run(lambda rng: (*gallery.two_branch_problem("plus"),
+                                    rng.uniform(0.5, 1.5, size=1)),
+                       d.gradient_feasibility)),
         _Selector("alignment-pseudo-inverse", ("pseudo_inverse",), (), 1e-7,
-                  _run_pseudo_inverse),
+                  _run(_gallery(
+                      lambda rng: gallery.spherical_alignment_problem(4), 0.5),
+                       d.pseudo_inverse_descent)),
         _Selector("vjp-stream-wide", ("vjp", "unconstrained"), (), 1e-6,
                   _run_vjp_stream),
     ]
@@ -346,7 +315,9 @@ def gradcheck_selectors():
         Penalty.TRUNCATED_QUADRATIC: "pool-truncated-quadratic",
     }
     for kind, name in pool_names.items():
-        sels.append(_Selector(name, (), (name,), 1e-5, _pool_runner(kind)))
+        sels.append(_Selector(name, (), (name,), 1e-5, _run(
+            _pool_draw(kind),
+            lambda spec, x, y: robust_pool_gradient(x, spec, y))))
     proj = [
         ("project-l2", projection.Norm.L2, projection.Surface.SPHERE, False, 1e-7),
         ("project-l1", projection.Norm.L1, projection.Surface.SPHERE, True, 1e-6),
@@ -356,8 +327,9 @@ def gradcheck_selectors():
         ("project-linf-ball", projection.Norm.LINF, projection.Surface.BALL, True, 1e-6),
     ]
     for name, norm, surface, masked, tol in proj:
-        sels.append(_Selector(name, (), (name,), tol,
-                              _project_runner(norm, surface, masked)))
+        sels.append(_Selector(name, (), (name,), tol, _run(
+            _project_draw(norm, surface, masked),
+            lambda spec, x, y: project_gradient(x, spec, y))))
     return {s.name: s for s in sels}
 
 

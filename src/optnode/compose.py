@@ -75,6 +75,11 @@ class ImperativeNode(Node):
         return Jacobian(numdiff.fd_jacobian(self._fun, x))
 
 
+def _multipliers(solution):
+    """The solver's multipliers, or None (recover them) when it has none."""
+    return solution.multipliers if solution.multipliers.size else None
+
+
 class DeclarativeNode(Node):
     """A DeclarativeProblem plus its solver, differentiated implicitly."""
 
@@ -86,19 +91,13 @@ class DeclarativeNode(Node):
     def solve(self, x):
         return self.solver(np.asarray(x, dtype=float))
 
-    def _context(self, x, solution):
-        lam = solution.multipliers if solution.multipliers.size else None
-        return implicit_diff.build_context(self.problem, x, solution.y,
-                                           multipliers=lam)
-
     def jacobian(self, x, solution):
-        ctx = self._context(x, solution)
-        return Jacobian(implicit_diff.jacobian_from_context(ctx),
-                        one_sided=ctx.one_sided,
-                        rank_deficient_fallback=ctx.rank_deficient_fallback)
+        return implicit_diff.gradient_inequality(
+            self.problem, x, solution.y, _multipliers(solution))
 
     def vjp(self, v, x, solution):
-        ctx = self._context(x, solution)
+        ctx = implicit_diff.build_context(self.problem, x, solution.y,
+                                          _multipliers(solution))
         return (implicit_diff.vjp(v, ctx, mode="stream_columns"),
                 ctx.one_sided)
 

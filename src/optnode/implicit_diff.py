@@ -1,9 +1,9 @@
 """Backward-pass engine: exact Jacobians of argmin solution maps.
 
 Given a problem, an input x, and a stationary solution y, build_context
-assembles the one KKT system of the implicit function theorem and
-jacobian_from_context / vjp apply it, without ever differentiating
-through solver iterates.  Every problem class shares one formula,
+assembles the one KKT system of the implicit function theorem, without
+ever differentiating through solver iterates.  Every problem class shares
+one formula,
 
     Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B,
 
@@ -11,8 +11,11 @@ with H = D2_YY f - sum_i lambda_i D2_YY h~_i and B the mixed x/u analogue,
 A = D_Y h~, C = D_X h~ over the constraint stack h~.  The classes differ
 only in the stack: empty when unconstrained (Dy = -H^-1 B), the p
 equality rows, or those plus the active inequality rows.  A feasibility
-problem (no objective) takes H = I and B = 0.  The named paths
-gradient_unconstrained / _equality / _inequality / _feasibility and
+problem (no objective) takes H = I and B = 0.  Every apply is one
+range-space solve of [[H, A^T], [A, 0]] (a, b) = (r1, r2), an empty stack
+included: jacobian_from_context takes (B, C) and returns Dy = -a, and
+vjp's streamed mode takes (v, 0) and returns -a^T B - b^T C.  The named
+paths gradient_unconstrained / _equality / _inequality / _feasibility and
 pseudo_inverse_descent strip what they ignore and materialize one context.
 
 Second derivatives come from analytic callbacks when the problem carries
@@ -20,12 +23,12 @@ them and from numdiff otherwise.  Constraint curvature is fetched already
 contracted with the multipliers (the h_yy / h_xy / g_yy / g_xy callbacks
 take lam and return one (m, m) or (m, n) sum); a family whose
 multipliers are all zero is skipped, and a sum that is exactly zero (a
-linear constraint's) is not subtracted.  vjp() evaluates v^T Dy(x)
-left-to-right; an empty stack streams B in blocks of max(1, n // m)
-columns from the problem's b_columns callback, one callback and one
-product per block, so the full matrix is never stored.  H is factored
-once per context (Cholesky, LU when that fails); its condition gate reads
-LAPACK's estimate on that factor rather than an SVD.
+linear constraint's) is not subtracted.  An empty stack streams B in
+blocks of max(1, n // m) columns from the problem's b_columns callback,
+one callback and one product per block, so the full matrix is never
+stored.  H is factored once per context (Cholesky, LU when that fails);
+its condition gate reads LAPACK's estimate on that factor rather than an
+SVD, and so does the gate on the Schur complement A H^-1 A^T.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ class _Factor:
     """
 
     def __init__(self, H):
-        self.H = H
         self._cho = None
         self._lu = None
         if not np.all(np.isfinite(H)):
@@ -102,7 +104,6 @@ class _PinvFactor:
         if not np.all(np.isfinite(H)):
             raise SingularHessian(
                 f"cond(H) ~ inf (non-finite entries), H shape {H.shape}")
-        self.H = H
         self.cond = cond
         self._pinv = np.linalg.pinv(H, rcond=SV_CUTOFF_RTOL)
 
@@ -254,6 +255,15 @@ def _checked_multipliers(multipliers, want, rows):
     return lam
 
 
+def _gated_factor(M, message):
+    """_Factor of the symmetric M, or RankDeficientConstraints with
+    message(cond) when its condition estimate is past COND_LIMIT."""
+    fm = _Factor(M)
+    if not np.isfinite(fm.cond) or fm.cond > COND_LIMIT:
+        raise RankDeficientConstraints(message(fm.cond))
+    return fm
+
+
 def recover_multipliers(A, grad_f):
     """Analytic multipliers lambda = (A A^T)^-1 A (D_Y f)^T.
 
@@ -262,11 +272,8 @@ def recover_multipliers(A, grad_f):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     grad_f = np.asarray(grad_f, dtype=float).ravel()
-    fm = _Factor(A @ A.T)
-    if not np.isfinite(fm.cond) or fm.cond > COND_LIMIT:
-        raise RankDeficientConstraints(
-            f"cond(AA^T) ~ {fm.cond:.3e} for A of shape {A.shape}")
-    return fm.solve(A @ grad_f)
+    return _gated_factor(A @ A.T, lambda cond: (
+        f"cond(AA^T) ~ {cond:.3e} for A of shape {A.shape}")).solve(A @ grad_f)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +312,7 @@ def _require_finite(name, a):
             f"{name} of shape {a.shape} has {bad} non-finite entries")
 
 
-def build_context(problem, x, y, multipliers=None, path="auto",
+def build_context(problem, x, y, multipliers=None,
                   zero_multiplier_branch="constrained"):
     """Build the GradientContext for repeated Jacobians and VJPs at (x, y).
 
@@ -326,8 +333,7 @@ def build_context(problem, x, y, multipliers=None, path="auto",
 
     H failing the condition gate raises SingularHessian when the stack is
     non-empty; an empty stack takes the pseudo-inverse instead and sets
-    rank_deficient_fallback, as path "pseudo_inverse" does outright (that
-    path ignores the constraints).  An empty stack streams B when the
+    rank_deficient_fallback.  An empty stack streams B when the
     problem has a b_columns callback.  A problem without objective uses
     H = I and B = 0: the minimum-norm solution of A Dy = -C, flagged when
     fewer than m rows are kept.  A non-finite x raises UndefinedGradient
@@ -341,12 +347,6 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     _require_finite("x", x)
     if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
         raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
-    if path == "pseudo_inverse":
-        problem = dataclasses.replace(problem, eq_constraints=None,
-                                      ineq_constraints=None)
-        multipliers = None
-    elif path != "auto":
-        raise ValueError(f"unknown gradient path {path!r}")
     m, n = y.size, x.size
     feasibility = problem.objective is None
 
@@ -414,9 +414,8 @@ def build_context(problem, x, y, multipliers=None, path="auto",
     if B is not None:
         _require_finite("mixed derivative B", B)
 
-    pinv = path == "pseudo_inverse"
-    fr = _PinvFactor(H) if pinv else _Factor(H)
-    if not pinv and (not np.isfinite(fr.cond) or fr.cond > COND_LIMIT):
+    fr, pinv = _Factor(H), False
+    if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
         if stack.size:
             raise SingularHessian(
                 f"cond(H) ~ {fr.cond:.3e} with a stack of {stack.size} rows, "
@@ -442,46 +441,44 @@ def build_context(problem, x, y, multipliers=None, path="auto",
 # The one apply: Jacobians and VJPs
 # ---------------------------------------------------------------------------
 
-def _gate_schur(A, HiAt):
-    """Factor of the symmetric A H^-1 A^T, gated on its condition estimate."""
-    M = A @ HiAt
-    fm = _Factor(0.5 * (M + M.T))
-    if not np.isfinite(fm.cond) or fm.cond > COND_LIMIT:
-        raise RankDeficientConstraints(
-            f"cond(A H^-1 A^T) ~ {fm.cond:.3e}, A shape {A.shape}")
-    return fm
-
-
-def _constrained_dy(fr, A, B, C, cnt):
-    """Dy = H^-1 A^T (A H^-1 A^T)^-1 (A H^-1 B - C) - H^-1 B."""
-    HiB = cnt.adopt(fr.solve(B))
+def _kkt_solve(fr, A, r1, r2, cnt):
+    """(a, b) solving H a + A^T b = r1, A a = r2 in range space, with fr
+    the factor of H: b = (A H^-1 A^T)^-1 (A H^-1 r1 - r2) and
+    a = H^-1 r1 - H^-1 A^T b.  An empty A gives a = H^-1 r1 and an empty b.
+    The Schur complement A H^-1 A^T is gated on its condition estimate."""
+    a = cnt.adopt(fr.solve(r1))
+    if A.shape[0] == 0:
+        return a, np.zeros((0,) + a.shape[1:])
     HiAt = cnt.adopt(fr.solve(A.T))
-    S = cnt.adopt(_gate_schur(A, HiAt).solve(A @ HiB - C))
-    return cnt.adopt(HiAt @ S - HiB)
+    M = A @ HiAt
+    schur = _gated_factor(0.5 * (M + M.T), lambda cond: (
+        f"cond(A H^-1 A^T) ~ {cond:.3e}, A shape {A.shape}"))
+    b = cnt.adopt(schur.solve(A @ a - r2))
+    a -= HiAt @ b
+    return a, b
 
 
 def jacobian_from_context(context, counter=None):
-    """Materialize the full Dy(x) from a context, shape (m, n)."""
+    """Materialize the full Dy(x) from a context, shape (m, n): -a of the
+    KKT solve with right-hand side (B, C)."""
     cnt = counter if counter is not None else AllocationCounter()
-    fr = context.h_factorization
     B = context.B
     if B is None:
         B = cnt.adopt(context.b_columns(np.arange(context.n)))
-    if context.A.shape[0] == 0:
-        return cnt.adopt(-fr.solve(B))
-    return _constrained_dy(fr, context.A, B, context.C, cnt)
+    a, _ = _kkt_solve(context.h_factorization, context.A, B, context.C, cnt)
+    return np.negative(a, out=a)   # in place: Dy may be the largest array
 
 
 def vjp(v, context, mode="materialize", counter=None):
     """v^T Dy(x) for a prepared context, shape (n,).
 
     mode "materialize" forms Dy and multiplies.  mode "stream_columns"
-    computes the cached intermediate v~ = -H^-1 v (plus constraint
-    correction terms) and returns v~^T B - s^T C.  On a streaming context
-    B is generated in blocks of max(1, n // m) columns, one b_columns
-    call and one product per block, so auxiliary storage stays O(m + n)
-    and the full matrix is never stored; both modes agree to 1e-12.  Pass
-    an AllocationCounter to measure auxiliary storage.
+    solves the KKT system with right-hand side (v, 0) and returns
+    v~^T B - s^T C with v~ = -a and s = b.  On a streaming context B is
+    generated in blocks of max(1, n // m) columns, one b_columns call and
+    one product per block, so auxiliary storage stays O(m + n) and the
+    full matrix is never stored; both modes agree to 1e-12.  Pass an
+    AllocationCounter to measure auxiliary storage.
     """
     v = np.asarray(v, dtype=float).ravel()
     cnt = counter if counter is not None else AllocationCounter()
@@ -491,17 +488,8 @@ def vjp(v, context, mode="materialize", counter=None):
     if mode != "stream_columns":
         raise ValueError(f"unknown vjp mode {mode!r}")
 
-    fr = context.h_factorization
-    k = context.A.shape[0]
-    if k:
-        w = cnt.adopt(fr.solve(v))
-        HiAt = cnt.adopt(fr.solve(context.A.T))
-        s = cnt.adopt(_gate_schur(context.A, HiAt).solve(context.A @ w))
-        vt = cnt.adopt(fr.solve(context.A.T @ s - v))
-    else:
-        s = None
-        vt = cnt.adopt(-fr.solve(v))
-
+    a, s = _kkt_solve(context.h_factorization, context.A, v, 0.0, cnt)
+    vt = -a
     if context.B is not None:
         out = vt @ context.B
     else:
@@ -514,8 +502,7 @@ def vjp(v, context, mode="materialize", counter=None):
             out[start:start + cols.size] = vt @ block
             cnt.release(block)
             cnt.release(cols)
-    if s is not None:
-        out -= s @ context.C
+    out -= s @ context.C
     return out
 
 
@@ -554,7 +541,7 @@ def gradient_inequality(problem, x, y, multipliers=None,
                         zero_multiplier_branch="constrained"):
     """Dy over the equalities plus the active inequalities; see
     build_context for the zero-multiplier rules."""
-    return _jacobian(build_context(problem, x, y, multipliers, "auto",
+    return _jacobian(build_context(problem, x, y, multipliers,
                                    zero_multiplier_branch))
 
 
@@ -572,6 +559,13 @@ def pseudo_inverse_descent(problem, x, y):
 
     Singular values below 1e-10 times the largest are cut off.  This is
     the zero-extra-term member of the family of valid descent directions;
-    no selection among the family is attempted.
+    no selection among the family is attempted.  The pseudo-inverse is
+    taken even when H passes the condition gate, and the result is always
+    flagged rank_deficient_fallback.
     """
-    return _jacobian(build_context(problem, x, y, path="pseudo_inverse"))
+    ctx = build_context(dataclasses.replace(
+        problem, eq_constraints=None, ineq_constraints=None), x, y)
+    if not ctx.rank_deficient_fallback:
+        ctx = dataclasses.replace(ctx, h_factorization=_PinvFactor(ctx.H),
+                                  rank_deficient_fallback=True)
+    return _jacobian(ctx)

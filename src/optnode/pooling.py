@@ -191,11 +191,6 @@ def _polish(u, sums, lo, hi):
     return u, sums
 
 
-def _at(y):
-    """The closed-form quadratic row: y with its sums, 0 iterations."""
-    return y, (yield y), 0
-
-
 def _polished(search, lo, hi):
     """The search, then _polish from where it stopped: (y, sums,
     iterations of the search)."""
@@ -271,7 +266,10 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
 
     restarts = 0
     if spec.kind is Penalty.QUADRATIC:
-        rows = _lockstep(spec, X, [_at(u) for u in X.mean(-1).tolist()])
+        ys = X.mean(-1)
+        f, d1, d2 = _kernels.penalty_sums(spec.code, spec.alpha, ys, X)
+        rows = [(y, sums, 0) for y, sums in zip(
+            ys.tolist(), zip(f.tolist(), d1.tolist(), d2.tolist()))]
     else:
         starts = _medians(X).tolist()
         if spec.kind in (Penalty.WELSCH, Penalty.TRUNCATED_QUADRATIC):

@@ -422,6 +422,21 @@ def test_pseudo_inverse_rank_one_consistency():
     np.testing.assert_allclose(Hp @ H @ jac.matrix, jac.matrix, atol=1e-12)
 
 
+def test_pseudo_inverse_descent_on_a_well_conditioned_hessian():
+    """H passes the condition gate, and the path still takes -H^+ B and
+    flags the fallback."""
+    problem, solve = gallery.strongly_convex_problem(3, 4, seed=31)
+    x = np.array([0.4, -0.2, 0.9])
+    y = solve(x).y
+    ctx = build_context(problem, x, y)
+    assert not ctx.rank_deficient_fallback
+    jac = pseudo_inverse_descent(problem, x, y)
+    assert jac.rank_deficient_fallback
+    np.testing.assert_allclose(
+        jac.matrix, -np.linalg.pinv(ctx.H, rcond=1e-10) @ ctx.B,
+        rtol=0, atol=1e-12)
+
+
 def test_pseudo_inverse_alignment_closed_form():
     problem, solve = gallery.spherical_alignment_problem(4)
     x = np.array([0.5, -0.5, 0.5, 0.5])
@@ -566,10 +581,13 @@ def test_nonfinite_multiplier_is_a_node_error():
 
 
 def test_build_context_pseudo_inverse_path():
+    """The alignment problem's H alone is singular: with the constraint
+    stripped, the context takes the pseudo-inverse."""
     problem, solve = gallery.spherical_alignment_problem(3)
     x = np.array([0.7, -0.1, 0.7])
     y = solve(x).y
-    ctx = build_context(problem, x, y, path="pseudo_inverse")
+    ctx = build_context(dataclasses.replace(problem, eq_constraints=None),
+                        x, y)
     assert ctx.rank_deficient_fallback
     nx = float(np.linalg.norm(x))
     expected = (np.eye(3) - np.outer(x, x) / nx ** 2) / nx
@@ -728,7 +746,8 @@ def _one_apply_scenarios():
     def alignment():
         problem, solve = gallery.spherical_alignment_problem(3)
         x = np.array([0.7, -0.1, 0.7])
-        return build_context(problem, x, solve(x).y, path="pseudo_inverse"), 0
+        return build_context(dataclasses.replace(
+            problem, eq_constraints=None), x, solve(x).y), 0
 
     def wide():
         problem, solve = gallery.wide_coupling_problem(4, 50, seed=22)
@@ -768,6 +787,29 @@ def test_one_apply_serves_every_path(scenario):
         np.testing.assert_allclose(streamed, v @ Dy, rtol=0, atol=1e-12)
         np.testing.assert_allclose(vjp(v, ctx, mode="materialize"), v @ Dy,
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scenario", sorted(
+    set(_one_apply_scenarios()) - {"alignment-pseudo-inverse"}))
+def test_one_apply_is_the_dense_kkt_solve(scenario):
+    """Every context whose factor is not the pseudo-inverse differentiates
+    to the top block of the dense saddle-point solve
+    [[H, A^T], [A, 0]] [Dy; S] = [-B; -C], and its streamed vjp to v @
+    that block."""
+    ctx, _ = _one_apply_scenarios()[scenario]()
+    H, A, C = ctx.H, ctx.A, ctx.C
+    B = ctx.B if ctx.B is not None else ctx.b_columns(np.arange(ctx.n))
+    m, k = H.shape[0], A.shape[0]
+    K = np.block([[H, A.T], [A, np.zeros((k, k))]])
+    dense = np.linalg.solve(K, -np.vstack([B, C]))[:m]
+    Dy = jacobian_from_context(ctx)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(Dy - dense)) <= 1e-10 * scale
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        v = rng.normal(size=m)
+        np.testing.assert_allclose(vjp(v, ctx, mode="stream_columns"),
+                                   v @ dense, rtol=0, atol=1e-12)
 
 
 def test_gradient_paths_registry_is_complete():

@@ -427,14 +427,22 @@ def test_convex_pooling_cost_does_not_grow_with_the_data_scale(kind, scales,
     spec = PenaltySpec(kind, 1.0)
     iters = []
     for s in scales:
-        # Huber's kernel also forms the discarded inlier value 0.5 z^2 of
-        # the far point, which overflows at 3e200 (ROADMAP item 2)
-        with np.errstate(over="ignore" if s > 1e150 else "raise"):
-            sol = robust_pool(np.array([0.0, 0.0, s]), spec)
+        sol = robust_pool(np.array([0.0, 0.0, s]), spec)
         iters.append(sol.solver_info.iterations)
         if s > 3.0 or kind == "huber":
             assert abs(sol.y[0] - y_far) <= 1e-12, s
     assert len(set(iters)) == 1, iters
+
+
+@pytest.mark.parametrize("kind, y", [("huber", 0.5),
+                                     ("truncated_quadratic", 0.0)])
+def test_piecewise_kernels_never_square_an_outlier(kind, y):
+    """[0, 0, 3e200] pools with no warning (the suite makes one an error):
+    the inlier value 0.5 z^2 is formed from d1, which is z only for the
+    inliers, so the far point's z is never squared."""
+    sol = robust_pool(np.array([0.0, 0.0, 3e200]), PenaltySpec(kind, 1.0))
+    assert sol.y[0] == y
+    assert math.isfinite(sol.objective_value)
 
 
 def test_study_kernel_passes_per_penalty_are_pinned(monkeypatch):
