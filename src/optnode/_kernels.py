@@ -1,7 +1,8 @@
 """Hot numeric kernels for robust pooling: penalty sums and gradient weights.
 
-These run inside every iteration of the scalar pooling solvers, which makes
-them the dominant cost of the gradient-check and robustness-study commands.
+These run once per step of the pooling solves, over the whole stack of
+live rows.  In the robustness study the Python around them (the lockstep
+driver and the per-row checks) costs more than their arithmetic.
 There is one backend, vectorized numpy.  ``IMPLEMENTATIONS`` and
 ``backend_name()`` remain only because ``perfbench`` reads them: the table
 supplies its untraced reference kernel, and the name goes into its recorded

@@ -18,17 +18,21 @@ vjp's streamed mode takes (v, 0) and returns -a^T B - b^T C.  The named
 paths gradient_unconstrained / _equality / _inequality / _feasibility and
 pseudo_inverse_descent strip what they ignore and materialize one context.
 
-Second derivatives come from analytic callbacks when the problem carries
-them and from numdiff otherwise.  Constraint curvature is fetched already
+One helper sources every second-derivative block: the objective is the
+single row with lam = [1], and constraint curvature is fetched already
 contracted with the multipliers (the h_yy / h_xy / g_yy / g_xy callbacks
-take lam and return one (m, m) or (m, n) sum); a family whose
-multipliers are all zero is skipped, and a sum that is exactly zero (a
-linear constraint's) is not subtracted.  An empty stack streams B in
-blocks of max(1, n // m) columns from the problem's b_columns callback,
-one callback and one product per block, so the full matrix is never
-stored.  H is factored once per context (Cholesky, LU when that fails);
-its condition gate reads LAPACK's estimate on that factor rather than an
-SVD, and so does the gate on the Schur complement A H^-1 A^T.
+take lam and return one (m, m) or (m, n) sum).  Each block comes from its
+callback when the problem has one and otherwise from one numdiff pass
+over the matching first derivatives, in y or in x, contracted with lam;
+a supplied block costs no pass, and every block is shape-checked.  A
+family whose multipliers are all zero is skipped, and a sum that is
+exactly zero (a linear constraint's) is not subtracted.  An empty stack
+streams B in blocks of max(1, n // m) columns from the problem's
+b_columns callback, one callback and one product per block, so the full
+matrix is never stored.  H is factored once per context (Cholesky, LU
+when that fails); its condition gate reads LAPACK's estimate on that
+factor rather than an SVD, and so does the gate on the Schur complement
+A H^-1 A^T.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from scipy.linalg import lapack
 
 from . import numdiff
 from .core import (DimensionMismatch, Jacobian, RankDeficientConstraints,
-                   SingularHessian, UndefinedGradient)
+                   SingularHessian, UndefinedGradient, _probe_shape)
 
 COND_LIMIT = 1e12        # condition-estimate gate for H and AA^T
 PIVOT_RTOL = 1e-10       # rank-repair pivot cutoff, relative to largest pivot
@@ -159,67 +163,50 @@ def _f_y(problem, x, y):
 
 
 @_sourced
-def _objective_blocks(problem, x, y, with_b=True):
-    """(H_f symmetrized, B_f); numeric pieces only where analytic missing.
-
-    with_b=False returns (H_f, None) without touching f_xy, so no (m, n)
-    block is formed; a missing f_yy then comes from differentiating f_y.
-    """
-    d = problem.derivatives
-    f_yy = np.asarray(d.f_yy(x, y), dtype=float) if d and d.f_yy else None
-    if not with_b:
-        if f_yy is None:
-            f_yy = numdiff.fd_jacobian(lambda u: _f_y(problem, x, u), y)
-        return 0.5 * (f_yy + f_yy.T), None
-    f_xy = np.asarray(d.f_xy(x, y), dtype=float) if d and d.f_xy else None
-    if f_yy is None or f_xy is None:
-        stripped = dataclasses.replace(problem, eq_constraints=None,
-                                       ineq_constraints=None)
-        fdb = numdiff.fd_hessian_blocks(stripped, x, y)
-        f_yy = fdb.H_f if f_yy is None else f_yy
-        f_xy = fdb.B_f if f_xy is None else f_xy
-    return 0.5 * (f_yy + f_yy.T), f_xy
-
-
-@_sourced
-def _constraint_first(problem, x, y, which):
-    """Constraint Jacobians (A, C) = (D_Y, D_X) for 'h' or 'g' rows."""
+def _constraint_first(problem, x, y, which, rows=None):
+    """Constraint Jacobians (A, C) = (D_Y, D_X) for 'h' or 'g' rows, shapes
+    (rows, m) and (rows, n); rows defaults to the row count of A."""
     fn = problem.eq_constraints if which == "h" else problem.ineq_constraints
+    m, n = y.size, x.size
     if fn is None:
-        return (np.zeros((0, problem.output_dim)),
-                np.zeros((0, problem.input_dim)))
-    d = problem.derivatives
-    c_cb = getattr(d, which + "_x", None) if d is not None else None
-    A = numdiff.first_y(problem, which)(x, y)
-    C = (np.asarray(c_cb(x, y), dtype=float) if c_cb is not None
-         else numdiff.fd_jacobian(lambda z: fn(z, y), x))
-    return np.atleast_2d(A), np.atleast_2d(C)
+        return np.zeros((0, m)), np.zeros((0, n))
+    c_cb = getattr(problem.derivatives, which + "_x", None)
+    A = np.atleast_2d(numdiff.first_y(problem, which)(x, y))
+    C = np.atleast_2d(np.asarray(c_cb(x, y), dtype=float) if c_cb is not None
+                      else numdiff.fd_jacobian(lambda z: fn(z, y), x))
+    rows = A.shape[0] if rows is None else rows
+    _probe_shape(which + "_y", A, (rows, m))
+    _probe_shape(which + "_x", C, (rows, n))
+    return A, C
 
 
 @_sourced
-def _constraint_curvature(problem, x, y, which, lam):
-    """(sum_i lam_i D2_YY c_i, sum_i lam_i D2_XY c_i) over the 'h' or 'g'
-    rows c_i, shapes (m, m) and (m, n).
+def _curvature(problem, x, y, which, lam, with_b=True):
+    """(sum_i lam_i D2_YY c_i, sum_i lam_i D2_XY c_i), shapes (m, m) and
+    (m, n), over the rows c_i of the objective ('f', the single row with
+    lam = [1]) or of the 'h' or 'g' constraints.
 
-    Analytic callbacks receive lam and return the sums; a missing one is
-    contracted from numdiff's per-row blocks.
+    Each block comes from the problem's callback when it has one (the
+    constraint callbacks take lam and return the sum) and otherwise from
+    one numdiff.second_blocks pass over the rows' first derivatives,
+    contracted with lam.  with_b=False returns None for the mixed block
+    without touching it.
     """
-    d = problem.derivatives
-    yy_cb = getattr(d, which + "_yy", None) if d is not None else None
-    xy_cb = getattr(d, which + "_xy", None) if d is not None else None
-    if yy_cb is None or xy_cb is None:
-        keep = {"eq_constraints": None, "ineq_constraints": None,
-                "objective": None}
-        key = "eq_constraints" if which == "h" else "ineq_constraints"
-        keep[key] = getattr(problem, key)
-        fdb = numdiff.fd_hessian_blocks(dataclasses.replace(problem, **keep),
-                                        x, y)
-        rows = (fdb.h_yy, fdb.h_xy) if which == "h" else (fdb.g_yy, fdb.g_xy)
-    yy = (np.asarray(yy_cb(x, y, lam), dtype=float) if yy_cb is not None
-          else np.tensordot(lam, rows[0], axes=1))
-    xy = (np.asarray(xy_cb(x, y, lam), dtype=float) if xy_cb is not None
-          else np.tensordot(lam, rows[1], axes=1))
-    return yy, xy
+    def block(kind, wrt, want):
+        name = which + "_" + kind
+        cb = getattr(problem.derivatives, name, None)
+        if cb is None:
+            out = np.tensordot(lam, numdiff.second_blocks(
+                numdiff.first_y(problem, which), x, y, wrt), axes=1)
+        else:
+            out = np.asarray(cb(x, y) if which == "f" else cb(x, y, lam),
+                             dtype=float)
+        _probe_shape(name, out, want)
+        return out
+
+    m, n = y.size, x.size
+    return (block("yy", "y", (m, m)),
+            block("xy", "x", (m, n)) if with_b else None)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,7 @@ def build_context(problem, x, y, multipliers=None,
                                       dtype=float))
         q = gv.size
         act = np.flatnonzero(gv >= -ACTIVE_TOL)
-        A_g, C_g = _constraint_first(problem, x, y, "g")
+        A_g, C_g = _constraint_first(problem, x, y, "g", q)
         A, C = np.vstack([A, A_g[act]]), np.vstack([C, C_g[act]])
     if multipliers is not None:
         rows = "p + q" if problem.ineq_constraints is not None else "p"
@@ -398,13 +385,14 @@ def build_context(problem, x, y, multipliers=None,
     if feasibility:
         H, B = np.eye(m), np.zeros((m, n))
     else:
-        H, B = _objective_blocks(problem, x, y, with_b=not stream)
+        H, B = _curvature(problem, x, y, "f", np.ones(1), with_b=not stream)
+        H = 0.5 * (H + H.T)
     lam_g = np.zeros(q)
     lam_g[act] = lam[p:]
     curved = False
     for which, lam_c in (("h", lam[:p]), ("g", lam_g)):
         if lam_c.any():
-            yy, xy = _constraint_curvature(problem, x, y, which, lam_c)
+            yy, xy = _curvature(problem, x, y, which, lam_c)
             if yy.any():   # exactly-zero curvature leaves H as it is
                 H, curved = H - yy, True
             if xy.any():

@@ -1,10 +1,14 @@
 """Finite-difference oracle.
 
 First derivatives of arbitrary vector maps (in particular, of solver
-outputs) and second-derivative blocks of problem callbacks when analytic
-ones are absent.  Every derived expected value in the test suite flows
-through this module, so it carries its own self-tests against polynomials
-with known derivatives.
+outputs) and second-derivative blocks of problem callbacks.  first_y is
+the one source of first derivatives in u, and second_blocks the one
+numeric pass over them: the gradient engine takes it, contracted with
+the multipliers, for each second-derivative block a problem does not
+supply, and fd_hessian_blocks, the oracle for the analytic blocks, is
+built on it.  Every derived expected value in the test suite flows
+through this module, so it carries its own self-tests against
+polynomials with known derivatives.
 
 The oracle differentiates solver *outputs*; callers must run those solvers
 at tolerance <= 1e-10 or solver noise dominates the difference quotient.
@@ -123,44 +127,47 @@ def first_y(problem, which):
     return lambda x, y: fd_jacobian(lambda u: fn(x, u), y)
 
 
+def second_blocks(rows_fn, x, y, wrt, config=FdConfig()):
+    """Central differences of a first-derivative bundle rows_fn(x, y) ->
+    (rows, m) in y (wrt "y": shape (rows, m, m), each row's block
+    symmetrized) or in x (wrt "x": shape (rows, m, n)).
+
+    One pass differentiates the whole bundle; each entry's difference
+    quotient is the one a per-row pass would take, so the blocks are
+    identical to differencing each row on its own.
+    """
+    m = y.size
+    if wrt == "y":
+        yy = fd_jacobian(lambda u: rows_fn(x, u).ravel(), y, config)
+        yy = yy.reshape(-1, m, m)
+        return 0.5 * (yy + yy.transpose(0, 2, 1))
+    xy = fd_jacobian(lambda z: rows_fn(z, y).ravel(), x, config)
+    return xy.reshape(-1, m, x.size)
+
+
 def fd_hessian_blocks(problem, x, y, config=FdConfig()):
     """Numeric H, B, and per-constraint second-derivative blocks at (x, y).
 
-    Central differences of first derivatives, one pass per variable (y,
-    then x) over each whole first-derivative bundle; the first
-    derivatives are analytic when the problem supplies them and finite
-    differences of the raw callbacks otherwise.  H-type blocks are
-    symmetrized.  Analytic *second* derivatives are never consulted
-    here: this op is the oracle for them.
+    second_blocks in y, then in x, over each whole first-derivative
+    bundle (f, h, g); the first derivatives are analytic when the problem
+    supplies them and finite differences of the raw callbacks otherwise.
+    Analytic *second* derivatives are never consulted here: this op is
+    the oracle for them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = problem.input_dim, problem.output_dim
 
-    def second_blocks(rows_fn, nrows):
-        # rows_fn(x, y) -> (nrows, m); one pass differentiates the whole
-        # bundle wrt y and one wrt x.  Each entry's difference quotient is
-        # the one a per-row pass would take, so the blocks are identical.
-        yy = fd_jacobian(lambda u: rows_fn(x, u).ravel(), y, config)
-        xy = fd_jacobian(lambda z: rows_fn(z, y).ravel(), x, config)
-        yy = yy.reshape(nrows, m, m)
-        return 0.5 * (yy + yy.transpose(0, 2, 1)), xy.reshape(nrows, m, n)
+    def blocks(fn, which):
+        if fn is None:
+            return np.zeros((0, m, m)), np.zeros((0, m, n))
+        rows_fn = first_y(problem, which)
+        return (second_blocks(rows_fn, x, y, "y", config),
+                second_blocks(rows_fn, x, y, "x", config))
 
-    if problem.objective is not None:
-        f_yy, f_xy = second_blocks(first_y(problem, "f"), 1)
-        H_f, B_f = f_yy[0], f_xy[0]
-    else:
+    if problem.objective is None:
         H_f, B_f = np.zeros((m, m)), np.zeros((m, n))
-
-    p = q = 0
-    h_yy = np.zeros((0, m, m)); h_xy = np.zeros((0, m, n))
-    g_yy = np.zeros((0, m, m)); g_xy = np.zeros((0, m, n))
-    if problem.eq_constraints is not None:
-        p = np.atleast_1d(problem.eq_constraints(x, y)).shape[0]
-        h_yy, h_xy = second_blocks(first_y(problem, "h"), p)
-    if problem.ineq_constraints is not None:
-        q = np.atleast_1d(problem.ineq_constraints(x, y)).shape[0]
-        g_yy, g_xy = second_blocks(first_y(problem, "g"), q)
-
-    return HessianBlocks(H_f=H_f, B_f=B_f, h_yy=h_yy, h_xy=h_xy,
-                         g_yy=g_yy, g_xy=g_xy)
+    else:
+        (H_f,), (B_f,) = blocks(problem.objective, "f")
+    return HessianBlocks(H_f, B_f, *blocks(problem.eq_constraints, "h"),
+                         *blocks(problem.ineq_constraints, "g"))

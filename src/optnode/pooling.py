@@ -266,8 +266,9 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
 
     restarts = 0
     if spec.kind is Penalty.QUADRATIC:
-        ys = X.mean(-1)
-        f, d1, d2 = _kernels.penalty_sums(spec.code, spec.alpha, ys, X)
+        with np.errstate(over="ignore"):   # an inf y or f is SolverDiverged
+            ys = X.mean(-1)
+            f, d1, d2 = _kernels.penalty_sums(spec.code, spec.alpha, ys, X)
         rows = [(y, sums, 0) for y, sums in zip(
             ys.tolist(), zip(f.tolist(), d1.tolist(), d2.tolist()))]
     else:

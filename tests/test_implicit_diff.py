@@ -6,6 +6,7 @@ checked against the finite-difference oracle of test_numdiff.
 """
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
                           NodeError, RankDeficientConstraints, SingularHessian,
                           UndefinedGradient)
 from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
-                                   _objective_blocks, build_context,
+                                   _curvature, build_context,
                                    gradient_equality,
                                    gradient_feasibility, gradient_inequality,
                                    gradient_unconstrained,
@@ -706,6 +707,64 @@ def test_singular_hessian_fallback_fetches_second_derivatives_once():
     assert sorted(calls) == ["f_xy", "f_yy"]
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("h_yy", lambda x, u, lam: np.ones(4), "expected shape (4, 4), got (4,)"),
+    ("f_yy", lambda x, u: np.eye(4, 5), "expected shape (4, 4), got (4, 5)"),
+    ("f_xy", lambda x, u: np.ones((3, 4)),
+     "expected shape (4, 3), got (3, 4)"),
+    ("h_xy", lambda x, u, lam: np.zeros(4), "expected shape (4, 3), got (4,)"),
+    ("h_x", lambda x, u: np.ones((1, 4)), "expected shape (1, 3), got (1, 4)"),
+    ("h_y", lambda x, u: np.ones((1, 3)), "expected shape (1, 4), got (1, 3)"),
+], ids=["h_yy", "f_yy", "f_xy", "h_xy", "h_x", "h_y"])
+def test_misshapen_derivative_block_is_dimension_mismatch(field, value, want):
+    """A callback block of the wrong shape is named with the shape it
+    returned and the one expected, not broadcast into H (h_yy of shape
+    (m,)) or met as a raw numpy or scipy ValueError."""
+    problem, solve = gallery.sphere_equality_problem(3, 4, 0)
+    x = np.array([0.4, -0.3, 0.9])
+    sol = solve(x)
+    d = dataclasses.replace(problem.derivatives, **{field: value})
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"{field}: {want}")):
+        gradient_equality(dataclasses.replace(problem, derivatives=d), x,
+                          sol.y, sol.multipliers)
+
+
+def test_missing_mixed_block_costs_one_pass_in_x():
+    """Without f_xy the engine differences f_y in x only: 2n calls, and
+    the analytic f_yy spares the 2m of a pass in y."""
+    n, m = 3, 4
+    problem, solve = gallery.strongly_convex_problem(n, m, 0)
+    x = np.array([0.3, -0.2, 0.5])
+    y = solve(x).y
+    calls = []
+    d = _recording(dataclasses.replace(problem.derivatives, f_xy=None), calls)
+    build_context(dataclasses.replace(problem, derivatives=d), x, y)
+    assert calls.count("f_y") == 2 * n and calls.count("f_yy") == 1
+
+
+def test_missing_constraint_curvature_costs_one_pass_per_variable():
+    """Numeric h curvature differences h_y once in y and once in x and
+    never evaluates h to count its rows: 1 + 2(m + n) h_y calls in all."""
+    n, m, p = 10, 20, 8
+    problem, solve = gallery.linear_equality_problem(n, m, p, 3)
+    x = np.linspace(-0.5, 0.5, n)
+    sol = solve(x)
+    calls = []
+
+    def h(x, u):
+        calls.append("h")
+        return problem.eq_constraints(x, u)
+
+    d = _recording(dataclasses.replace(problem.derivatives, h_yy=None,
+                                       h_xy=None), calls)
+    build_context(dataclasses.replace(problem, eq_constraints=h,
+                                      derivatives=d),
+                  x, sol.y, multipliers=sol.multipliers)
+    assert calls.count("h") == 0
+    assert calls.count("h_y") == 1 + 2 * (m + n)
+
+
 def _one_apply_scenarios():
     """name -> () -> (context, expected stack rows)."""
     def unconstrained():
@@ -955,7 +1014,8 @@ def test_curvature_subtraction_keeps_the_bits_of_the_full_formula(make, x):
     x = np.array(x)
     sol = solve(x)
     ctx = build_context(problem, x, sol.y, multipliers=sol.multipliers)
-    H_f, B_f = _objective_blocks(problem, x, sol.y)
+    f_yy, B_f = _curvature(problem, x, sol.y, "f", np.ones(1))
+    H_f = 0.5 * (f_yy + f_yy.T)
     d, which = problem.derivatives, "h" if problem.eq_constraints else "g"
     yy = getattr(d, which + "_yy")(x, sol.y, sol.multipliers)
     xy = getattr(d, which + "_xy")(x, sol.y, sol.multipliers)

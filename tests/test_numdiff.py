@@ -156,9 +156,9 @@ def test_hessian_blocks_constraint_rows():
 
 
 def test_hessian_blocks_one_pass_per_variable():
-    """The (p, m) constraint Jacobian is differentiated as one bundle: one
-    probe of h for p, then 2 evaluations of h_y per coordinate of y and of
-    x, i.e. 1 + 2(m + n) callbacks rather than p times as many."""
+    """The (p, m) constraint Jacobian is differentiated as one bundle: 2
+    evaluations of h_y per coordinate of y and of x, i.e. 2(m + n)
+    callbacks rather than p times as many, and no probe of h for p."""
     n, m, p = 10, 20, 8
     problem, solve = linear_equality_problem(n, m, p, seed=3)
     calls = []
@@ -169,7 +169,7 @@ def test_hessian_blocks_one_pass_per_variable():
             return fn(*args)
         return wrapper
 
-    # the problem the engine hands to fd_hessian_blocks for the h blocks
+    # the h blocks of a problem without objective or h curvature callbacks
     stripped = DeclarativeProblem(
         objective=None, input_dim=n, output_dim=m,
         eq_constraints=counted(problem.eq_constraints),
@@ -177,7 +177,7 @@ def test_hessian_blocks_one_pass_per_variable():
                                 h_x=counted(problem.derivatives.h_x)))
     x = np.linspace(-0.5, 0.5, n)
     blocks = fd_hessian_blocks(stripped, x, solve(x).y)
-    assert len(calls) == 1 + 2 * (m + n)
+    assert len(calls) == 2 * (m + n)
     assert blocks.h_yy.shape == (p, m, m) and blocks.h_xy.shape == (p, m, n)
     np.testing.assert_allclose(blocks.h_yy, 0.0, atol=1e-9)
     np.testing.assert_allclose(blocks.h_xy, 0.0, atol=1e-9)

@@ -295,18 +295,22 @@ def test_cli_pool_nonfinite_input_is_domain_error(kind, capsys):
     assert "InfeasibleProblem" in capsys.readouterr().err
 
 
+# The pseudo-Huber kernel still overflows on the way (ROADMAP item 2);
+# the quadratic closed form raises SolverDiverged with no numpy warning.
+_KERNEL_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 OVERFLOWS = [
     # (z/alpha)^2 overflows, so every f' term reads 0 at the mean: y = 1e200
     # with an infinite objective was reported as converged
-    ([0.0, 0.0, 3e200], "pseudo_huber", 1.0),
+    pytest.param([0.0, 0.0, 3e200], "pseudo_huber", 1.0, marks=_KERNEL_WARNS),
     # the mean itself overflows to inf
     ([1e308, 1.5e308], "quadratic", 1.0),
     # alpha^2 underflows to 0 against an infinite sum: a NaN objective
-    ([0.0, 0.0, 3.0], "pseudo_huber", 1e-200),
+    pytest.param([0.0, 0.0, 3.0], "pseudo_huber", 1e-200, marks=_KERNEL_WARNS),
+    # y = 1e200 is finite, but the objective (about 3e400) is not
+    ([0.0, 0.0, 3e200], "quadratic", 1.0),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("values, kind, alpha", OVERFLOWS)
 def test_overflow_from_finite_input_is_solver_diverged(values, kind, alpha,
                                                        capsys):
