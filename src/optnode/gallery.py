@@ -8,13 +8,13 @@ range-space KKT Newton (_kkt_newton says why the sphere keeps its own).
 Every solve raises InfeasibleProblem on an x with a non-finite entry,
 before any work, and SolverDiverged when y comes out non-finite.  A solve
 raises no numpy floating-point warning: an overflow in it gives that
-error or an objective_value of inf.
+error or an objective_value of inf.  scipy.linalg is imported by the
+functions that factor, on their first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
                    SolverDiverged, Solution, SolverInfo)
@@ -108,6 +108,7 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
     SolverDiverged naming label.  The sphere keeps its own loop: its
     Lagrangian Hessian f_yy - lam I is indefinite at most sphere points off
     the solution (82 % of 28 800 sampled), where a Cholesky fails."""
+    import scipy.linalg
     A, b = (np.zeros((0, m)), np.zeros(0)) if A is None else (A, b)
     u, lam = np.zeros(m), np.zeros(A.shape[0])
     tri = scipy.linalg.solve_triangular
@@ -403,6 +404,7 @@ def wide_coupling_problem(output_dim, input_dim, seed):
     so the mixed second derivative is the (m, n) block -W.  The problem
     exposes column-block access to that block instead of a dense f_xy,
     which is what the streaming vector-Jacobian product consumes."""
+    import scipy.linalg
     rng = np.random.default_rng(seed)
     m, n = output_dim, input_dim
     Q = _spd(rng, m)

@@ -32,7 +32,8 @@ b_columns callback, one callback and one product per block, so the full
 matrix is never stored.  H is factored once per context (Cholesky, LU
 when that fails); its condition gate reads LAPACK's estimate on that
 factor rather than an SVD, and so does the gate on the Schur complement
-A H^-1 A^T.
+A H^-1 A^T.  scipy.linalg is imported inside the functions that factor,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from . import numdiff
 from .core import (DimensionMismatch, Jacobian, RankDeficientConstraints,
@@ -76,6 +75,8 @@ class _Factor:
     """
 
     def __init__(self, H):
+        import scipy.linalg
+        from scipy.linalg import lapack
         self._cho = None
         self._lu = None
         if not np.all(np.isfinite(H)):
@@ -86,7 +87,7 @@ class _Factor:
             self._cho = scipy.linalg.cho_factor(H, lower=True,
                                                 check_finite=False)
             rcond, _ = lapack.dpocon(self._cho[0], anorm, uplo="L")
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             with warnings.catch_warnings():
                 # an exactly singular pivot shows up as rcond = 0 below
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -95,6 +96,7 @@ class _Factor:
         self.cond = 1.0 / rcond if rcond > 0.0 else np.inf
 
     def solve(self, rhs):
+        import scipy.linalg
         if self._cho is not None:
             return scipy.linalg.cho_solve(self._cho, rhs)
         return scipy.linalg.lu_solve(self._lu, rhs)
@@ -222,6 +224,7 @@ def _rank_repair(A):
     """
     if A.shape[0] == 0:
         return np.array([], dtype=int), np.array([], dtype=int)
+    import scipy.linalg
     _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:

@@ -386,7 +386,9 @@ def as_problem(spec, n):
 
     def b_columns(x, u, cols):
         # columns cols of D2_XY f: d2 phi/du dx_i = -phi''(u - x_i)
-        return np.array([[-penalty_d2(spec, u[0] - x[i]) for i in cols]])
+        z = u[0] - x[cols]
+        return -_kernels.penalty_sums(spec.code, spec.alpha, z,
+                                      np.zeros((z.size, 1)))[2][None, :]
 
     return DeclarativeProblem(
         objective=objective, input_dim=n, output_dim=1,

@@ -730,6 +730,26 @@ def test_misshapen_derivative_block_is_dimension_mismatch(field, value, want):
                           sol.y, sol.multipliers)
 
 
+@pytest.mark.parametrize("numeric_f_yy", [False, True],
+                         ids=["recovered_multipliers", "numeric_f_yy"])
+def test_misshapen_f_y_is_dimension_mismatch(numeric_f_yy):
+    """An f_y of shape (m + 1,) is named with both shapes, whether it
+    meets multiplier recovery (no multipliers given) or the numeric f_yy
+    pass (the solver's multipliers, no f_yy), not left to numpy's matmul
+    or reshape."""
+    problem, solve = gallery.sphere_equality_problem(3, 4, 0)
+    x = np.array([0.4, -0.3, 0.9])
+    sol = solve(x)
+    fields = {"f_y": lambda x, u: np.ones(5)}
+    if numeric_f_yy:
+        fields["f_yy"] = None
+    d = dataclasses.replace(problem.derivatives, **fields)
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape("f_y: expected shape (4,), got (5,)")):
+        build_context(dataclasses.replace(problem, derivatives=d), x, sol.y,
+                      sol.multipliers if numeric_f_yy else None)
+
+
 def test_missing_mixed_block_costs_one_pass_in_x():
     """Without f_xy the engine differences f_y in x only: 2n calls, and
     the analytic f_yy spares the 2m of a pass in y."""

@@ -2,6 +2,7 @@
 the third-party imports of the package."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -128,3 +129,71 @@ def test_package_imports_only_numpy_and_scipy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert found <= allowed, sorted(found - allowed)
+
+
+def _imports_run_on_import(tree):
+    """The import statements of a module outside every function body:
+    those that run when the module is imported."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_top_level():
+    """scipy is imported only inside the functions that factor a matrix:
+    no statement that runs on import of an optnode module names it, not
+    even under a try or in a class body."""
+    found = []
+    for path in sorted(Path(optnode.__file__).parent.glob("*.py")):
+        for node in _imports_run_on_import(ast.parse(path.read_text())):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+_IMPORT_CONTRACT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import optnode
+from optnode import cli, gallery
+from optnode.pooling import Penalty, PenaltySpec, robust_pool, robust_pool_gradient
+from optnode.projection import (Norm, ProjectionSpec, Surface, project,
+                                project_gradient, project_vjp)
+
+assert "scipy" not in sys.modules, "import optnode"
+cli.run_study(seed=0, trials=2)
+X = np.random.default_rng(0).normal(size=(5, 100))
+for kind in Penalty:
+    spec = PenaltySpec(kind)
+    sol = robust_pool(X, spec)
+    robust_pool_gradient(X[0], spec, sol.y[0])
+x = np.array([0.3, -1.2, 0.5, 2.0])
+for norm in Norm:
+    for surface in Surface:
+        spec = ProjectionSpec(norm, surface, radius=0.8)
+        y = project(x, spec).y
+        project_gradient(x, spec, y)
+        project_vjp(np.ones(4), x, spec, y)
+assert "scipy" not in sys.modules, "study, pooling and projection"
+problem, solve = gallery.strongly_convex_problem(3, 2, 0)
+x = np.array([0.1, 0.2, -0.3])
+optnode.build_context(problem, x, np.zeros(2))
+assert "scipy.linalg" in sys.modules, "build_context"
+"""
+
+
+def test_scipy_loads_only_on_first_factorisation():
+    """Importing optnode, the robustness study, pooling and projection
+    leave scipy unloaded; the first build_context loads scipy.linalg.
+    Runs in a fresh interpreter, since this one has scipy loaded already."""
+    src = str(Path(optnode.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CONTRACT, src],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -14,7 +14,8 @@ from optnode.core import InfeasibleProblem, SolverDiverged, UndefinedGradient
 from optnode.implicit_diff import gradient_unconstrained
 from optnode.numdiff import fd_jacobian
 from optnode.pooling import (MAX_ITERS, Penalty, PenaltySpec, as_problem,
-                             penalty_value, robust_pool, robust_pool_gradient)
+                             penalty_d2, penalty_value, robust_pool,
+                             robust_pool_gradient)
 
 ALL_KINDS = ["quadratic", "pseudo_huber", "huber", "welsch",
              "truncated_quadratic"]
@@ -221,6 +222,24 @@ def test_closed_form_matches_generic_engine(kind):
         closed = robust_pool_gradient(x, spec, sol.y)
         engine = gradient_unconstrained(problem, x, sol.y)
         assert np.max(np.abs(closed.matrix - engine.matrix)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_as_problem_b_columns_match_per_column_penalty_d2(kind):
+    """One kernel pass gives each b_columns block bit for bit as one
+    penalty_d2 call per column, kinks and far outliers included."""
+    rng = np.random.default_rng(91)
+    spec = PenaltySpec(kind, alpha=0.7)
+    n = 10_000
+    x = rng.normal(size=n) * 3.0
+    x[:4] = [0.7, -0.7, 1e3, -1e100]   # |u - x| on the kink and far out
+    problem = as_problem(spec, n)
+    u = np.array([0.0])
+    for cols in (np.arange(n), np.arange(0, n, 7), np.arange(0)):
+        block = problem.derivatives.b_columns(x, u, cols)
+        loop = np.array([[-penalty_d2(spec, u[0] - x[i]) for i in cols]])
+        assert block.shape == (1, cols.size)
+        assert block.tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["pseudo_huber", "welsch"])
