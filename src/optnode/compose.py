@@ -28,7 +28,7 @@ import numpy as np
 
 from . import implicit_diff, numdiff, pooling, projection
 from .core import (DimensionMismatch, InfeasibleProblem, Jacobian, NodeError,
-                   Solution, SolverInfo)
+                   Solution, SolverInfo, checked)
 
 STEP_TOL = 1e-10  # descent stops when ||step||_inf falls below this
 
@@ -48,8 +48,9 @@ class Node:
 
     def vjp(self, v, x, solution):
         """(v^T Dy, one_sided) at (x, solution), from the node's Jacobian."""
+        v = checked("v", v, self.input_dim, self.output_dim)
         jac = self.jacobian(x, solution)
-        return np.asarray(v, dtype=float) @ jac.matrix, jac.one_sided
+        return v @ jac.matrix, jac.one_sided
 
 
 class ImperativeNode(Node):

@@ -99,7 +99,8 @@ class Derivatives:
     callbacks, and returns an array with the shape noted below (n = input
     dim, m = output dim, p = equality rows, q = inequality rows).  Any
     subset may be provided; the gradient engine falls back to finite
-    differences for the rest.
+    differences for the rest.  The shapes are exact (SHAPES): f_y is not
+    (1, m), and a single-row Jacobian is (1, m) or (1, n), never 1-D.
 
     f_y : (m,)          first derivative of the objective in u
     f_yy : (m, m)       second derivative of the objective in u
@@ -225,9 +226,24 @@ class ProblemDims:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _probe_shape(name, got, want):
-    if got.shape != want:
-        raise DimensionMismatch(f"{name}: expected shape {want}, got {got.shape}")
+# The one shape table: every array a problem's callbacks return or a caller
+# hands the engine, in the problem's n and m, a constraint family's row
+# count r and the c columns asked of b_columns (see Derivatives).
+SHAPES = {"x": "n", "y": "m", "u": "m", "v": "m",
+          "f_y": "m", "f_yy": "mm", "f_xy": "mn", "b_columns": "mc",
+          "h_y": "rm", "h_x": "rn", "h_yy": "mm", "h_xy": "mn",
+          "g_y": "rm", "g_x": "rn", "g_yy": "mm", "g_xy": "mn"}
+
+
+def checked(name, value, n, m, r=0, c=0):
+    """value as a float array of the shape SHAPES gives name, or
+    DimensionMismatch naming the shape expected and the shape got."""
+    out = np.asarray(value, dtype=float)
+    dims = {"n": n, "m": m, "r": r, "c": c}
+    want = tuple(dims[k] for k in SHAPES[name])
+    if out.shape != want:
+        raise DimensionMismatch(f"{name}: expected shape {want}, got {out.shape}")
+    return out
 
 
 def validate_problem(problem, x=None, u=None):
@@ -248,10 +264,8 @@ def validate_problem(problem, x=None, u=None):
     returns a non-scalar and an equality system with more rows than m.
     """
     n, m = problem.input_dim, problem.output_dim
-    x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
-    u = np.zeros(m) if u is None else np.asarray(u, dtype=float)
-    _probe_shape("x", x, (n,))
-    _probe_shape("u", u, (m,))
+    x = checked("x", np.zeros(n) if x is None else x, n, m)
+    u = checked("u", np.zeros(m) if u is None else u, n, m)
 
     if problem.objective is not None:
         val = problem.objective(x, u)
@@ -277,23 +291,18 @@ def validate_problem(problem, x=None, u=None):
         q = g.shape[0]
 
     d = problem.derivatives
-    if d is not None:
-        # the curvature callbacks are probed with unit multipliers
-        lam_h, lam_g = (x, u, np.ones(p)), (x, u, np.ones(q))
-        checks = [("f_y", d.f_y, (x, u), (m,)), ("f_yy", d.f_yy, (x, u), (m, m)),
-                  ("f_xy", d.f_xy, (x, u), (m, n)),
-                  ("h_y", d.h_y, (x, u), (p, m)), ("h_x", d.h_x, (x, u), (p, n)),
-                  ("h_yy", d.h_yy, lam_h, (m, m)), ("h_xy", d.h_xy, lam_h, (m, n)),
-                  ("g_y", d.g_y, (x, u), (q, m)), ("g_x", d.g_x, (x, u), (q, n)),
-                  ("g_yy", d.g_yy, lam_g, (m, m)), ("g_xy", d.g_xy, lam_g, (m, n))]
-        for name, fn, args, want in checks:
-            if fn is None:
-                continue
-            _probe_shape(name, np.asarray(fn(*args), dtype=float), want)
-        if d.b_columns is not None:
-            cols = np.arange(min(n, 2))
-            _probe_shape("b_columns", np.asarray(d.b_columns(x, u, cols), dtype=float),
-                         (m, cols.size))
+    cols = np.arange(min(n, 2))
+    for name in SHAPES:
+        fn = getattr(d, name, None)   # x, y, u and v are not callbacks
+        if fn is None:
+            continue
+        r = {"h": p, "g": q}.get(name[0], 0)
+        args = (x, u)
+        if name == "b_columns":
+            args += (cols,)
+        elif name[0] in "hg" and name.endswith(("yy", "xy")):
+            args += (np.ones(r),)   # curvature sums, at unit multipliers
+        checked(name, fn(*args), n, m, r, cols.size)
     return ProblemDims(n=n, m=m, p=p, q=q)
 
 
@@ -309,7 +318,8 @@ def solution_residuals(problem, x, sol):
     """KKT residuals of a Solution, for asserting the Solution invariants.
 
     First derivatives in u come from numdiff.first_y: analytic when the
-    problem provides them, central finite differences otherwise.
+    problem provides them, central finite differences otherwise; each
+    constraint Jacobian is checked against its constraint's row count.
     """
     from . import numdiff  # late import; numdiff has no core dependency cycle
 
@@ -326,17 +336,17 @@ def solution_residuals(problem, x, sol):
     if problem.eq_constraints is not None:
         h = np.atleast_1d(problem.eq_constraints(x, y))
         eq_violation = float(np.max(np.abs(h))) if h.size else 0.0
-        A = numdiff.first_y(problem, "h")(x, y)
-        stacked -= lam[:A.shape[0]] @ A
-        k = A.shape[0]
+        k = h.size
+        A = checked("h_y", numdiff.first_y(problem, "h")(x, y), x.size, y.size, k)
+        stacked -= lam[:k] @ A
 
     ineq_violation = -np.inf
     sign_violation = -np.inf
     if problem.ineq_constraints is not None:
         g = np.atleast_1d(problem.ineq_constraints(x, y))
         ineq_violation = float(np.max(g)) if g.size else -np.inf
-        G = numdiff.first_y(problem, "g")(x, y)
-        lam_g = lam[k:k + G.shape[0]]
+        G = checked("g_y", numdiff.first_y(problem, "g")(x, y), x.size, y.size, g.size)
+        lam_g = lam[k:k + g.size]
         stacked -= lam_g @ G
         if sol.active_set.size:
             sign_violation = float(np.max(lam_g, initial=-np.inf,

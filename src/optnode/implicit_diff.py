@@ -24,16 +24,17 @@ contracted with the multipliers (the h_yy / h_xy / g_yy / g_xy callbacks
 take lam and return one (m, m) or (m, n) sum).  Each block comes from its
 callback when the problem has one and otherwise from one numdiff pass
 over the matching first derivatives, in y or in x, contracted with lam;
-a supplied block costs no pass, and every block is shape-checked.  A
-family whose multipliers are all zero is skipped, and a sum that is
-exactly zero (a linear constraint's) is not subtracted.  An empty stack
-streams B in blocks of max(1, n // m) columns from the problem's
-b_columns callback, one callback and one product per block, so the full
-matrix is never stored.  H is factored once per context (Cholesky, LU
-when that fails); its condition gate reads LAPACK's estimate on that
-factor rather than an SVD, and so does the gate on the Schur complement
-A H^-1 A^T.  scipy.linalg is imported inside the functions that factor,
-so importing this module does not load it.
+a supplied block costs no pass.  Every block, like x, y, v and each
+b_columns block, is checked against core's one shape table.  A family
+whose multipliers are all zero is skipped, and a sum that is exactly
+zero (a linear constraint's) is not subtracted.  An empty stack streams
+B in blocks of max(1, n // m) columns from the problem's b_columns
+callback, one callback and one product per block, so the full matrix is
+never stored.  H is factored once per context (Cholesky, LU when that
+fails); its condition gate reads LAPACK's estimate on that factor rather
+than an SVD, and so does the gate on the Schur complement A H^-1 A^T.
+scipy.linalg is imported inside the functions that factor, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import numdiff
 from .core import (DimensionMismatch, Jacobian, RankDeficientConstraints,
-                   SingularHessian, UndefinedGradient, _probe_shape)
+                   SingularHessian, UndefinedGradient, checked)
 
 COND_LIMIT = 1e12        # condition-estimate gate for H and AA^T
 PIVOT_RTOL = 1e-10       # rank-repair pivot cutoff, relative to largest pivot
@@ -166,20 +167,19 @@ def _f_y(problem, x, y):
 
 @_sourced
 def _constraint_first(problem, x, y, which, rows=None):
-    """Constraint Jacobians (A, C) = (D_Y, D_X) for 'h' or 'g' rows, shapes
-    (rows, m) and (rows, n); rows defaults to the row count of A."""
+    """Constraint Jacobians (A, C) = (D_Y, D_X) for 'h' or 'g' rows, checked
+    as (rows, m) and (rows, n); rows defaults to the row count of A."""
     fn = problem.eq_constraints if which == "h" else problem.ineq_constraints
     m, n = y.size, x.size
     if fn is None:
         return np.zeros((0, m)), np.zeros((0, n))
     c_cb = getattr(problem.derivatives, which + "_x", None)
-    A = np.atleast_2d(numdiff.first_y(problem, which)(x, y))
-    C = np.atleast_2d(np.asarray(c_cb(x, y), dtype=float) if c_cb is not None
-                      else numdiff.fd_jacobian(lambda z: fn(z, y), x))
+    A = numdiff.first_y(problem, which)(x, y)
+    C = (c_cb(x, y) if c_cb is not None
+         else numdiff.fd_jacobian(lambda z: fn(z, y), x))
     rows = A.shape[0] if rows is None else rows
-    _probe_shape(which + "_y", A, (rows, m))
-    _probe_shape(which + "_x", C, (rows, n))
-    return A, C
+    return (checked(which + "_y", A, n, m, rows),
+            checked(which + "_x", C, n, m, rows))
 
 
 @_sourced
@@ -194,21 +194,17 @@ def _curvature(problem, x, y, which, lam, with_b=True):
     contracted with lam.  with_b=False returns None for the mixed block
     without touching it.
     """
-    def block(kind, wrt, want):
+    def block(kind, wrt):
         name = which + "_" + kind
         cb = getattr(problem.derivatives, name, None)
         if cb is None:
             out = np.tensordot(lam, numdiff.second_blocks(
                 numdiff.first_y(problem, which), x, y, wrt), axes=1)
         else:
-            out = np.asarray(cb(x, y) if which == "f" else cb(x, y, lam),
-                             dtype=float)
-        _probe_shape(name, out, want)
-        return out
+            out = cb(x, y) if which == "f" else cb(x, y, lam)
+        return checked(name, out, x.size, y.size)
 
-    m, n = y.size, x.size
-    return (block("yy", "y", (m, m)),
-            block("xy", "x", (m, n)) if with_b else None)
+    return block("yy", "y"), block("xy", "x") if with_b else None
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +325,16 @@ def build_context(problem, x, y, multipliers=None,
     fewer than m rows are kept.  A non-finite x raises UndefinedGradient
     before any callback runs, and so does a non-finite multiplier, or a
     non-finite constraint Jacobian or D_Y f (for multiplier recovery)
-    before it is factored, or a non-finite B.  A streamed B is checked
-    block by block as the context's b_columns returns it, and the error
-    names the block's column range.
+    before it is factored, or a non-finite B.  An x, y or callback block
+    not of its core.SHAPES shape raises DimensionMismatch.  A streamed B
+    is checked block by block as the context's b_columns returns it, and
+    the error names the block's column range.
     """
-    x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
+    n, m = problem.input_dim, problem.output_dim
+    x, y = checked("x", x, n, m), checked("y", y, n, m)
     _require_finite("x", x)
     if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
         raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
-    m, n = y.size, x.size
     feasibility = problem.objective is None
 
     # constraint stack: the h rows, then the active g rows
@@ -415,7 +412,8 @@ def build_context(problem, x, y, multipliers=None,
     b_columns = None
     if stream:
         def b_columns(cols):
-            block = np.asarray(d.b_columns(x, y, cols), dtype=float)
+            block = checked("b_columns", d.b_columns(x, y, cols), n, m,
+                            c=cols.size)
             if not np.isfinite(block).all():
                 _require_finite(f"B columns {cols[0]}..{cols[-1]}", block)
             return block
@@ -468,10 +466,11 @@ def vjp(v, context, mode="materialize", counter=None):
     v~^T B - s^T C with v~ = -a and s = b.  On a streaming context B is
     generated in blocks of max(1, n // m) columns, one b_columns call and
     one product per block, so auxiliary storage stays O(m + n) and the
-    full matrix is never stored; both modes agree to 1e-12.  Pass an
+    full matrix is never stored; both modes agree to 1e-12.  A v not of
+    shape (m,) raises DimensionMismatch in either mode.  Pass an
     AllocationCounter to measure auxiliary storage.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    v = checked("v", v, context.n, context.H.shape[0])
     cnt = counter if counter is not None else AllocationCounter()
     if mode == "materialize":
         Dy = jacobian_from_context(context, cnt)

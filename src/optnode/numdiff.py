@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DimensionMismatch
+from .core import checked
 
 # Standard optimum for central differences on unit-scale arguments.
 CUBE_ROOT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -115,26 +115,20 @@ def first_y(problem, which):
     """First derivative in u of the objective ("f") or a constraint bundle
     ("h" or "g"), as a function (x, y) -> (rows, m): the problem's
     analytic callback when it has one, central differences otherwise.
-    Every first derivative in u in the package comes from here.  An f_y
-    callback whose value is not one row of length m raises
-    DimensionMismatch."""
-    d = problem.derivatives
+    Every first derivative in u in the package comes from here.  A
+    callback value is checked against core.SHAPES, with its own leading
+    axis as the row count, and a misshapen one raises DimensionMismatch."""
+    cb = getattr(problem.derivatives, which + "_y", None)
+    if cb is not None:
+        def rows(x, y):
+            out = cb(x, y)
+            return checked(which + "_y", out, x.size, y.size,
+                           len(np.atleast_2d(out))).reshape(-1, y.size)
+        return rows
     if which == "f":
-        if d is not None and d.f_y is not None:
-            def f_row(x, y):
-                out = np.asarray(d.f_y(x, y), dtype=float)
-                row = np.atleast_2d(out)
-                if row.shape != (1, y.size):
-                    raise DimensionMismatch(
-                        f"f_y: expected shape ({y.size},), got {out.shape}")
-                return row
-            return f_row
         return lambda x, y: fd_jacobian(
             lambda u: np.array([problem.objective(x, u)]), y)
     fn = problem.eq_constraints if which == "h" else problem.ineq_constraints
-    cb = getattr(d, which + "_y", None) if d is not None else None
-    if cb is not None:
-        return lambda x, y: np.asarray(cb(x, y), dtype=float)
     return lambda x, y: fd_jacobian(lambda u: fn(x, u), y)
 
 

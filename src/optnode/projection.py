@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                   InfeasibleProblem, Jacobian, Solution, SolverInfo,
-                   UndefinedGradient)
+from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
+                   Jacobian, Solution, SolverInfo, UndefinedGradient, checked)
 
 TIE_TOL = 1e-9        # Linf largest-magnitude tie detection
 BOUNDARY_RTOL = 1e-9  # ball boundary detection, relative to radius
@@ -269,13 +268,10 @@ def project_vjp(v, x, spec, y):
     Dy = diag(d) - c a a^T is the structure project_gradient materializes,
     so v^T Dy = v * d - c (v . a) a.  Returns (v^T Dy, one_sided), with
     one_sided as project_gradient sets it; raises what project_gradient
-    raises, and DimensionMismatch when v is not of length n.
+    raises, and DimensionMismatch when v is not of shape (n,).
     """
     d, c, a, one_sided = _gradient_structure(x, spec, y)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != d.size:
-        raise DimensionMismatch(
-            f"projection vjp: v of length {v.size} for n={d.size}")
+    v = checked("v", v, d.size, d.size)
     return v * d - (c * float(v @ a)) * a, one_sided
 
 

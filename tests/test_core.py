@@ -1,13 +1,17 @@
 """Domain types, validation, and the post-solve Solution invariants."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from optnode.compose import DeclarativeNode
-from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                          InfeasibleProblem, Jacobian, NodeError, Solution,
-                          SolverDiverged, SolverInfo, solution_residuals,
-                          validate_problem)
+from optnode.compose import (DeclarativeNode, ImperativeNode, NodeChain,
+                             PoolingNode)
+from optnode.core import (SHAPES, DeclarativeProblem, Derivatives,
+                          DimensionMismatch, InfeasibleProblem, Jacobian,
+                          NodeError, Solution, SolverDiverged, SolverInfo,
+                          solution_residuals, validate_problem)
 from optnode import gallery, implicit_diff, pooling, projection
 
 
@@ -264,3 +268,178 @@ def test_jacobian_dims_for_every_gradient_path():
                 "feasibility": (1, 1), "vjp": (2, 3)}
     assert shapes == expected
     assert set(implicit_diff.GRADIENT_PATHS) == set(expected)
+
+
+# --- The one shape table ---------------------------------------------------
+
+CALLBACKS = [f.name for f in dataclasses.fields(Derivatives)]
+
+
+def _padded(a):
+    """a with one more entry on its last axis."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, 1)])
+
+
+def _reshaped(a):
+    """a 2-D a flattened, a 1-D a as one row: the (1, m) f_y and the 1-D
+    single-row Jacobians the table rejects."""
+    return a.ravel() if a.ndim == 2 else a[None]
+
+
+def _shape_case(name):
+    """(problem, x, y, engine) for a callback entry of SHAPES: a solved
+    point whose engine path sources that callback, and that path."""
+    if name == "b_columns":
+        problem, solve = gallery.wide_coupling_problem(3, 10, 0)
+        x = np.linspace(-1.0, 1.0, 10)
+
+        def engine(problem, x, y):
+            ctx = implicit_diff.build_context(problem, x, y)
+            implicit_diff.vjp(np.ones(3), ctx, mode="stream_columns")
+    else:
+        if name.startswith("g"):
+            problem, solve = gallery.disc_inequality_problem(3)
+            x = np.array([1.2, -0.9, 0.6])   # outside: the row is active
+        else:
+            problem, solve = gallery.sphere_equality_problem(3, 4, 0)
+            x = np.array([0.4, -0.3, 0.9])
+
+        def engine(problem, x, y):   # no multipliers: f_y recovers them
+            implicit_diff.build_context(problem, x, y)
+    return problem, x, solve(x).y, engine
+
+
+def test_shape_table_covers_every_callback_and_caller_array():
+    assert set(SHAPES) == set(CALLBACKS) | {"x", "y", "u", "v"}
+
+
+@pytest.mark.parametrize("transform", [_padded, _reshaped],
+                         ids=["padded", "reshaped"])
+@pytest.mark.parametrize("name", CALLBACKS)
+def test_misshapen_callback_is_rejected_by_validation_and_engine(name,
+                                                                 transform):
+    """validate_problem and the engine path that sources a callback accept
+    and reject the same shapes: a block of the wrong shape raises
+    DimensionMismatch naming the field and both shapes from each, with the
+    same message wherever both ask for the same columns."""
+    problem, x, y, engine = _shape_case(name)
+    engine(problem, x, y)
+    validate_problem(problem, x, y)
+    fn = getattr(problem.derivatives, name)
+    bad = dataclasses.replace(problem, derivatives=dataclasses.replace(
+        problem.derivatives,
+        **{name: lambda *args: transform(np.asarray(fn(*args)))}))
+    pattern = rf"{name}: expected shape \(.*\), got \(.*\)"
+    with pytest.raises(DimensionMismatch, match=pattern) as by_validation:
+        validate_problem(bad, x, y)
+    with pytest.raises(DimensionMismatch, match=pattern) as by_engine:
+        engine(bad, x, y)
+    if name != "b_columns":   # validation probes 2 columns, the VJP n // m
+        assert str(by_engine.value) == str(by_validation.value)
+
+
+def _shipped_problems():
+    for name, make in sorted(GALLERY.items()):
+        problem, solve = make()
+        x = np.linspace(0.3, 0.9, problem.input_dim)
+        yield name, problem, x, solve(x).y
+    x = np.array([0.3, -1.2, 0.5, 2.0, 0.1])
+    for kind in pooling.Penalty:
+        spec = pooling.PenaltySpec(kind)
+        yield (kind.value, pooling.as_problem(spec, 5), x,
+               pooling.robust_pool(x, spec).y)
+    x = np.array([0.9, -0.8, 0.7])
+    for norm in projection.Norm:
+        for surface in projection.Surface:
+            spec = projection.ProjectionSpec(norm, surface)
+            yield (f"{norm.value}-{surface.value}",
+                   projection.as_problem(spec, 3), x,
+                   projection.project(x, spec).y)
+
+
+def test_validate_accepts_every_shipped_problem_at_a_solved_point():
+    """Every gallery problem, pooling penalty and projection spec returns
+    the exact shapes of the table."""
+    names = []
+    for name, problem, x, y in _shipped_problems():
+        dims = validate_problem(problem, x, y)
+        assert (dims.n, dims.m) == (problem.input_dim, problem.output_dim)
+        names.append(name)
+    assert len(names) == len(GALLERY) + 5 + 6
+
+
+_CALLER_SITES = [
+    ("build_context_x", "x: expected shape (4,), got (5,)"),
+    ("build_context_y", "y: expected shape (3,), got (2,)"),
+    ("vjp_materialize", "v: expected shape (3,), got (2,)"),
+    ("vjp_stream_columns", "v: expected shape (3,), got (2,)"),
+    ("declarative_node_vjp", "v: expected shape (3,), got (2,)"),
+    ("chain_backward", "v: expected shape (3,), got (2,)"),
+    ("pooling_node_vjp", "v: expected shape (1,), got (0,)"),
+    ("imperative_node_vjp", "v: expected shape (3,), got (2,)"),
+    ("solution_residuals", "h_y: expected shape (1, 4), got (4,)"),
+    ("solution_residuals_rows", "h_y: expected shape (1, 4), got (2, 4)"),
+]
+
+
+@pytest.mark.parametrize("site, want", _CALLER_SITES,
+                         ids=[site for site, _ in _CALLER_SITES])
+def test_wrong_length_caller_array_is_dimension_mismatch(site, want):
+    """An x, y or v of the wrong length, or an h_y met by
+    solution_residuals that is 1-D or has a row too many, is named with
+    both shapes rather than left to a raw numpy ValueError."""
+    problem, solve = gallery.strongly_convex_problem(4, 3, 0)
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    sol = solve(x)
+    node = DeclarativeNode(problem, solve)
+    imperative = ImperativeNode(lambda z: 2.0 * z[:3], 4, 3)
+    short = np.ones(2)
+    calls = {
+        "build_context_x": lambda: implicit_diff.build_context(
+            problem, np.append(x, 0.0), sol.y),
+        "build_context_y": lambda: implicit_diff.build_context(
+            problem, x, sol.y[:2]),
+        "vjp_materialize": lambda: implicit_diff.vjp(
+            short, implicit_diff.build_context(problem, x, sol.y)),
+        "vjp_stream_columns": lambda: implicit_diff.vjp(
+            short, implicit_diff.build_context(problem, x, sol.y),
+            mode="stream_columns"),
+        "declarative_node_vjp": lambda: node.vjp(short, x, sol),
+        "chain_backward": lambda: NodeChain([node]).backward(
+            x, [sol], short),
+        "imperative_node_vjp": lambda: imperative.vjp(
+            short, x, imperative.solve(x)),
+    }
+    if site == "pooling_node_vjp":
+        pool = PoolingNode(pooling.PenaltySpec("huber"), 5)
+        z = np.array([0.1, -0.4, 0.3, 2.0, 0.0])
+        calls[site] = lambda: pool.vjp(np.ones(0), z, pool.solve(z))
+    if site.startswith("solution_residuals"):
+        sphere, sphere_solve = gallery.sphere_equality_problem(3, 4, 0)
+        z = np.array([0.4, -0.3, 0.9])
+        h_y = ((lambda x, u: u) if site == "solution_residuals"
+               else lambda x, u: np.vstack([u, u]))
+        bad = dataclasses.replace(sphere, derivatives=dataclasses.replace(
+            sphere.derivatives, h_y=h_y))
+        calls[site] = lambda: solution_residuals(bad, z, sphere_solve(z))
+    with pytest.raises(DimensionMismatch, match=re.escape(want)):
+        calls[site]()
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("materialize", "b_columns: expected shape (3, 10), got (3, 11)"),
+    ("stream_columns", "b_columns: expected shape (3, 3), got (3, 4)"),
+], ids=["materialize", "stream_columns"])
+def test_misshapen_b_columns_block_is_dimension_mismatch(mode, want):
+    """A b_columns block with one column too many is named with both
+    shapes in either vjp mode: not a silent length-(n + 1) result
+    (materialize) or numpy's broadcast error (stream_columns)."""
+    problem, solve = gallery.wide_coupling_problem(3, 10, 0)
+    x = np.linspace(-1.0, 1.0, 10)
+    fn = problem.derivatives.b_columns
+    wide = dataclasses.replace(problem, derivatives=dataclasses.replace(
+        problem.derivatives,
+        b_columns=lambda x, u, cols: _padded(fn(x, u, cols))))
+    ctx = implicit_diff.build_context(wide, x, solve(x).y)
+    with pytest.raises(DimensionMismatch, match=re.escape(want)):
+        implicit_diff.vjp(np.ones(3), ctx, mode=mode)

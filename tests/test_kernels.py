@@ -157,6 +157,21 @@ def test_no_module_imports_scipy_at_top_level():
     assert not found, found
 
 
+def test_only_core_builds_an_expected_shape_message():
+    """Every "expected shape" DimensionMismatch comes from core.checked,
+    so core.SHAPES stays the one shape table: no other module holds a
+    string with that phrase, plain or inside an f-string."""
+    found = []
+    for path in sorted(Path(optnode.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "expected shape" in node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 _IMPORT_CONTRACT = """
 import sys
 sys.path.insert(0, sys.argv[1])
