@@ -5,6 +5,9 @@ Nodes are stateless: one holds its dimensions, its spec or problem and
 its solver, nothing per call, so one node can be shared across threads
 and chains.  vjp(v, x, solution) returns the pair (v^T Dy, one_sided),
 where one_sided is the flag the node's Jacobian at (x, solution) carries.
+Every solve takes x of shape (input_dim,), else DimensionMismatch, and a
+non-finite x is InfeasibleProblem; the y and jac that a user's callable
+returns are checked against (output_dim,) and (output_dim, input_dim).
 
 Chains validate adjacent dimensions, cache every intermediate Solution on
 the forward pass, and run the backward pass as right-to-left VJPs so no
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import implicit_diff, numdiff, pooling, projection
 from .core import (DimensionMismatch, InfeasibleProblem, Jacobian, NodeError,
-                   Solution, SolverInfo, checked)
+                   Solution, SolverInfo, checked, finite)
 
 STEP_TOL = 1e-10  # descent stops when ||step||_inf falls below this
 
@@ -48,9 +51,13 @@ class Node:
 
     def vjp(self, v, x, solution):
         """(v^T Dy, one_sided) at (x, solution), from the node's Jacobian."""
-        v = checked("v", v, self.input_dim, self.output_dim)
+        v = self._checked("v", v)
         jac = self.jacobian(x, solution)
         return v @ jac.matrix, jac.one_sided
+
+    def _checked(self, name, value):
+        """core.checked in this node's dimensions."""
+        return checked(name, value, self.input_dim, self.output_dim)
 
 
 class ImperativeNode(Node):
@@ -63,16 +70,17 @@ class ImperativeNode(Node):
         self._jac = jac
 
     def solve(self, x):
-        y = np.asarray(self._fun(np.asarray(x, dtype=float)), dtype=float)
-        return Solution(y=y, multipliers=np.zeros(0),
+        x = finite("x", self._checked("x", x), InfeasibleProblem)
+        return Solution(y=self._checked("y", self._fun(x)),
+                        multipliers=np.zeros(0),
                         active_set=np.zeros(0, dtype=bool),
                         objective_value=float("nan"),
                         solver_info=SolverInfo(iterations=0, converged=True))
 
     def jacobian(self, x, solution):
-        x = np.asarray(x, dtype=float)
+        x = self._checked("x", x)
         if self._jac is not None:
-            return Jacobian(np.asarray(self._jac(x), dtype=float))
+            return Jacobian(self._checked("jac", self._jac(x)))
         return Jacobian(numdiff.fd_jacobian(self._fun, x))
 
 
@@ -90,7 +98,9 @@ class DeclarativeNode(Node):
         self.solver = solver
 
     def solve(self, x):
-        return self.solver(np.asarray(x, dtype=float))
+        sol = self.solver(finite("x", self._checked("x", x), InfeasibleProblem))
+        self._checked("y", sol.y)
+        return sol
 
     def jacobian(self, x, solution):
         return implicit_diff.gradient_inequality(
@@ -111,10 +121,11 @@ class PoolingNode(Node):
         self.spec = spec
 
     def solve(self, x):
-        return pooling.robust_pool(x, self.spec)
+        return pooling.robust_pool(self._checked("x", x), self.spec)
 
     def jacobian(self, x, solution):
-        return pooling.robust_pool_gradient(x, self.spec, solution.y[0])
+        return pooling.robust_pool_gradient(self._checked("x", x), self.spec,
+                                            solution.y[0])
 
     vjp = Node.vjp  # an entry of its own, so a tracer can wrap it per class
 
@@ -127,13 +138,15 @@ class ProjectionNode(Node):
         self.spec = spec
 
     def solve(self, x):
-        return projection.project(x, self.spec)
+        return projection.project(self._checked("x", x), self.spec)
 
     def jacobian(self, x, solution):
-        return projection.project_gradient(x, self.spec, solution.y)
+        return projection.project_gradient(self._checked("x", x), self.spec,
+                                           solution.y)
 
     def vjp(self, v, x, solution):
-        return projection.project_vjp(v, x, self.spec, solution.y)
+        return projection.project_vjp(v, self._checked("x", x), self.spec,
+                                      solution.y)
 
 
 class NodeChain:

@@ -226,10 +226,10 @@ class ProblemDims:
 # Validation
 # ---------------------------------------------------------------------------
 
-# The one shape table: every array a problem's callbacks return or a caller
-# hands the engine, in the problem's n and m, a constraint family's row
-# count r and the c columns asked of b_columns (see Derivatives).
-SHAPES = {"x": "n", "y": "m", "u": "m", "v": "m",
+# The one shape table: every array that a problem's callbacks (Derivatives)
+# or a node's user callables (jac) return, or a caller hands the engine or a
+# node, in n, m, a constraint family's row count r and b_columns' c columns.
+SHAPES = {"x": "n", "y": "m", "u": "m", "v": "m", "jac": "mn",
           "f_y": "m", "f_yy": "mm", "f_xy": "mn", "b_columns": "mc",
           "h_y": "rm", "h_x": "rn", "h_yy": "mm", "h_xy": "mn",
           "g_y": "rm", "g_x": "rn", "g_yy": "mm", "g_xy": "mn"}
@@ -244,6 +244,25 @@ def checked(name, value, n, m, r=0, c=0):
     if out.shape != want:
         raise DimensionMismatch(f"{name}: expected shape {want}, got {out.shape}")
     return out
+
+
+def finite(name, a, error=UndefinedGradient):
+    """a, or error naming its shape and non-finite count: the one guard."""
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise error(f"{name} of shape {a.shape} has {bad} non-finite of "
+                    f"n={a.size} entries")
+    return a
+
+
+def checked_multipliers(problem, multipliers, count):
+    """multipliers as a finite vector of length count (p, or p + q)."""
+    lam = np.asarray(multipliers, dtype=float).ravel()
+    if lam.size != count:
+        rows = "p" if problem.ineq_constraints is None else "p + q"
+        raise DimensionMismatch(
+            f"multipliers: expected length {count} ({rows}), got {lam.size}")
+    return finite("multipliers", lam)
 
 
 def validate_problem(problem, x=None, u=None):
@@ -275,25 +294,22 @@ def validate_problem(problem, x=None, u=None):
     elif problem.eq_constraints is None and problem.ineq_constraints is None:
         raise DimensionMismatch("problem has neither objective nor constraints")
 
-    p = q = 0
-    if problem.eq_constraints is not None:
-        h = np.atleast_1d(np.asarray(problem.eq_constraints(x, u), dtype=float))
-        if h.ndim != 1:
-            raise DimensionMismatch(f"eq_constraints: expected vector, got shape {h.shape}")
-        p = h.shape[0]
-        if problem.objective is not None and p > m:
-            raise DimensionMismatch(
-                f"eq_constraints: p={p} rows exceed output_dim m={m} (over-determined)")
-    if problem.ineq_constraints is not None:
-        g = np.atleast_1d(np.asarray(problem.ineq_constraints(x, u), dtype=float))
-        if g.ndim != 1:
-            raise DimensionMismatch(f"ineq_constraints: expected vector, got shape {g.shape}")
-        q = g.shape[0]
+    rows = []
+    for name in ("eq_constraints", "ineq_constraints"):
+        fn = getattr(problem, name)
+        c = np.zeros(0) if fn is None else np.atleast_1d(fn(x, u))
+        if c.ndim != 1:
+            raise DimensionMismatch(f"{name}: expected vector, got shape {c.shape}")
+        rows.append(c.size)
+    p, q = rows
+    if problem.objective is not None and p > m:
+        raise DimensionMismatch(
+            f"eq_constraints: p={p} rows exceed output_dim m={m} (over-determined)")
 
     d = problem.derivatives
     cols = np.arange(min(n, 2))
     for name in SHAPES:
-        fn = getattr(d, name, None)   # x, y, u and v are not callbacks
+        fn = getattr(d, name, None)   # None for x, y, u, v and jac
         if fn is None:
             continue
         r = {"h": p, "g": q}.get(name[0], 0)
@@ -319,42 +335,33 @@ def solution_residuals(problem, x, sol):
 
     First derivatives in u come from numdiff.first_y: analytic when the
     problem provides them, central finite differences otherwise; each
-    constraint Jacobian is checked against its constraint's row count.
+    constraint Jacobian is checked against its constraint's row count, and
+    the multipliers against p + q (checked_multipliers).
     """
     from . import numdiff  # late import; numdiff has no core dependency cycle
 
-    x = np.asarray(x, dtype=float)
-    y = sol.y
-
-    if problem.objective is None:
-        stacked = np.zeros(problem.output_dim)
-    else:
-        stacked = numdiff.first_y(problem, "f")(x, y)[0].copy()
-    eq_violation = 0.0
-    lam = sol.multipliers
-    k = 0
+    x, y = np.asarray(x, dtype=float), sol.y
+    h = g = np.zeros(0)
     if problem.eq_constraints is not None:
         h = np.atleast_1d(problem.eq_constraints(x, y))
-        eq_violation = float(np.max(np.abs(h))) if h.size else 0.0
-        k = h.size
-        A = checked("h_y", numdiff.first_y(problem, "h")(x, y), x.size, y.size, k)
-        stacked -= lam[:k] @ A
-
-    ineq_violation = -np.inf
-    sign_violation = -np.inf
     if problem.ineq_constraints is not None:
         g = np.atleast_1d(problem.ineq_constraints(x, y))
-        ineq_violation = float(np.max(g)) if g.size else -np.inf
-        G = checked("g_y", numdiff.first_y(problem, "g")(x, y), x.size, y.size, g.size)
-        lam_g = lam[k:k + g.size]
-        stacked -= lam_g @ G
-        if sol.active_set.size:
-            sign_violation = float(np.max(lam_g, initial=-np.inf,
-                                          where=sol.active_set))
-
+    p = h.size
+    lam = checked_multipliers(problem, sol.multipliers, p + g.size)
+    stacked = (np.zeros(problem.output_dim) if problem.objective is None
+               else numdiff.first_y(problem, "f")(x, y)[0].copy())
+    for which, lam_c in (("h", lam[:p]), ("g", lam[p:])):
+        if lam_c.size:
+            stacked -= lam_c @ checked(
+                which + "_y", numdiff.first_y(problem, which)(x, y), x.size,
+                y.size, lam_c.size)
+    sign_violation = -np.inf
+    if g.size and sol.active_set.size:
+        sign_violation = float(np.max(lam[p:], initial=-np.inf,
+                                      where=sol.active_set))
     return SolutionResiduals(
         stationarity=float(np.max(np.abs(stacked))) if stacked.size else 0.0,
-        eq_violation=eq_violation,
-        ineq_violation=ineq_violation,
+        eq_violation=float(np.max(np.abs(h))) if p else 0.0,
+        ineq_violation=float(np.max(g)) if g.size else -np.inf,
         sign_violation=sign_violation,
     )

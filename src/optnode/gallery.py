@@ -5,11 +5,12 @@ the DeclarativeProblem carries analytic derivative callbacks.  Solvers
 are deterministic smooth functions of the input, so they can be checked
 numerically against the implicit-gradient engine; two share one
 range-space KKT Newton (_kkt_newton says why the sphere keeps its own).
-Every solve raises InfeasibleProblem on an x with a non-finite entry,
-before any work, and SolverDiverged when y comes out non-finite.  A solve
-raises no numpy floating-point warning: an overflow in it gives that
-error or an objective_value of inf.  scipy.linalg is imported by the
-functions that factor, on their first call.
+Every solve raises DimensionMismatch on an x not of shape (n,) and
+InfeasibleProblem on an x with a non-finite entry, before any work, and
+SolverDiverged when y comes out non-finite.  A solve raises no numpy
+floating-point warning: an overflow in it gives that error or an
+objective_value of inf.  scipy.linalg is imported by the functions that
+factor, on their first call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
-                   SolverDiverged, Solution, SolverInfo)
+                   SolverDiverged, Solution, SolverInfo, checked, finite)
 
 _SOFT_CURVE = 0.1  # weight of the cosh barrier in the convex objectives
 
@@ -39,23 +40,18 @@ def _unit(x, nx):
 
 
 def _solution(y, multipliers, iterations, value, active=()):
-    lam = np.asarray(multipliers, dtype=float).ravel()
-    return Solution(y=np.asarray(y, dtype=float),
-                    multipliers=lam,
+    return Solution(y=y, multipliers=multipliers,
                     active_set=np.array(active, dtype=bool),
                     objective_value=float(value),
                     solver_info=SolverInfo(iterations=iterations,
                                            converged=True))
 
 
-def _finite_io(solve):
-    """solve with the gallery's boundary contract (module docstring)."""
-    def checked(x):
-        x = np.asarray(x, dtype=float)
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
-        if bad:
-            raise InfeasibleProblem(
-                f"gallery input has {bad} non-finite of n={x.size} entries")
+def _finite_io(problem, solve):
+    """(problem, solve under the module docstring's boundary contract)."""
+    def bounded(x):
+        x = finite("x", checked("x", x, problem.input_dim, problem.output_dim),
+                   InfeasibleProblem)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sol = solve(x)
         if not np.isfinite(sol.y).all():
@@ -64,7 +60,7 @@ def _finite_io(solve):
                 f"from a finite x of n={x.size} (max|x| = "
                 f"{float(np.max(np.abs(x), initial=0.0)):.3e})")
         return sol
-    return checked
+    return problem, bounded
 
 
 def _convex_pieces(rng, input_dim, output_dim):
@@ -159,7 +155,7 @@ def strongly_convex_problem(input_dim, output_dim, seed):
         y, _, it = _kkt_newton(f_y, f_yy, x, output_dim, label="unconstrained")
         return _solution(y, np.zeros(0), it, value(x, y))
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
@@ -193,7 +189,7 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
                                  label="equality")
         return _solution(u, lam, it, value(x, u))
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def sphere_equality_problem(input_dim, output_dim, seed):
@@ -268,7 +264,7 @@ def sphere_equality_problem(input_dim, output_dim, seed):
                 break
         raise SolverDiverged(f"sphere KKT newton stalled at residual {res:.3e}")
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def disc_inequality_problem(dim):
@@ -302,7 +298,7 @@ def disc_inequality_problem(dim):
         return _solution(y, [lam], 0, 0.5 * float(np.sum((y - x) ** 2)),
                          [active])
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def circle_equality_problem(dim):
@@ -327,7 +323,7 @@ def circle_equality_problem(dim):
         nx, y = _unit(x, float(np.linalg.norm(x)))
         return _solution(y, [1.0 - nx], 0, 0.5 * float(np.sum((y - x) ** 2)))
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def spherical_alignment_problem(dim):
@@ -371,7 +367,7 @@ def spherical_alignment_problem(dim):
         # stationarity  f_y = lam * u  holds with lam = 0 at the optimum
         return _solution(y, [0.0], 0, -nx)
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def two_branch_problem(branch="plus"):
@@ -393,7 +389,7 @@ def two_branch_problem(branch="plus"):
     def solve(x):
         return _solution([1.0 + sign * x[0]], [0.0], 0, 0.0)
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)
 
 
 def wide_coupling_problem(output_dim, input_dim, seed):
@@ -424,4 +420,4 @@ def wide_coupling_problem(output_dim, input_dim, seed):
         y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
         return _solution(y, np.zeros(0), 1, float(0.5 * y @ Q @ y - y @ Wx))
 
-    return problem, _finite_io(solve)
+    return _finite_io(problem, solve)

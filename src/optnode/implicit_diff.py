@@ -47,8 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import (DimensionMismatch, Jacobian, RankDeficientConstraints,
-                   SingularHessian, UndefinedGradient, checked)
+from .core import (Jacobian, RankDeficientConstraints, SingularHessian,
+                   UndefinedGradient, checked, checked_multipliers, finite)
 
 COND_LIMIT = 1e12        # condition-estimate gate for H and AA^T
 PIVOT_RTOL = 1e-10       # rank-repair pivot cutoff, relative to largest pivot
@@ -231,16 +231,6 @@ def _rank_repair(A):
     return kept, dropped
 
 
-def _checked_multipliers(multipliers, want, rows):
-    """Caller-supplied multipliers as a finite float vector of length want."""
-    lam = np.asarray(multipliers, dtype=float).ravel()
-    if lam.size != want:
-        raise DimensionMismatch(
-            f"multipliers: expected length {want} ({rows}), got {lam.size}")
-    _require_finite("multipliers", lam)
-    return lam
-
-
 def _gated_factor(M, message):
     """_Factor of the symmetric M, or RankDeficientConstraints with
     message(cond) when its condition estimate is past COND_LIMIT."""
@@ -290,14 +280,6 @@ class GradientContext:
     rank_deficient_fallback: bool = False
 
 
-def _require_finite(name, a):
-    """Raise UndefinedGradient naming a's shape and its non-finite count."""
-    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
-    if bad:
-        raise UndefinedGradient(
-            f"{name} of shape {a.shape} has {bad} non-finite entries")
-
-
 def build_context(problem, x, y, multipliers=None,
                   zero_multiplier_branch="constrained"):
     """Build the GradientContext for repeated Jacobians and VJPs at (x, y).
@@ -331,8 +313,7 @@ def build_context(problem, x, y, multipliers=None,
     the error names the block's column range.
     """
     n, m = problem.input_dim, problem.output_dim
-    x, y = checked("x", x, n, m), checked("y", y, n, m)
-    _require_finite("x", x)
+    x, y = finite("x", checked("x", x, n, m)), checked("y", y, n, m)
     if zero_multiplier_branch not in ("constrained", "unconstrained", "reject"):
         raise ValueError(f"unknown branch rule {zero_multiplier_branch!r}")
     feasibility = problem.objective is None
@@ -342,18 +323,16 @@ def build_context(problem, x, y, multipliers=None,
     p, q = A.shape[0], 0
     act = np.zeros(0, dtype=int)
     if problem.ineq_constraints is not None:
-        gv = np.atleast_1d(np.asarray(problem.ineq_constraints(x, y),
-                                      dtype=float))
+        gv = np.atleast_1d(problem.ineq_constraints(x, y))
         q = gv.size
         act = np.flatnonzero(gv >= -ACTIVE_TOL)
         A_g, C_g = _constraint_first(problem, x, y, "g", q)
         A, C = np.vstack([A, A_g[act]]), np.vstack([C, C_g[act]])
     if multipliers is not None:
-        rows = "p + q" if problem.ineq_constraints is not None else "p"
-        multipliers = _checked_multipliers(multipliers, p + q, rows)
+        multipliers = checked_multipliers(problem, multipliers, p + q)
     k = A.shape[0]
-    _require_finite("constraint Jacobian A", A)
-    _require_finite("constraint Jacobian C", C)
+    finite("constraint Jacobian A", A)
+    finite("constraint Jacobian C", C)
     kept, dropped = _rank_repair(A)
     if kept.size == 0 and (k or feasibility):
         raise RankDeficientConstraints(
@@ -364,8 +343,7 @@ def build_context(problem, x, y, multipliers=None,
     stack, one_sided = kept, False
     if k and not feasibility:
         if multipliers is None:
-            f_y = _f_y(problem, x, y)
-            _require_finite("D_Y f", f_y)
+            f_y = finite("D_Y f", _f_y(problem, x, y))
             lam[kept] = recover_multipliers(A[kept], f_y)
         else:
             lam = multipliers[np.concatenate([np.arange(p), p + act])]
@@ -400,7 +378,7 @@ def build_context(problem, x, y, multipliers=None,
     if curved:   # halves first, so a finite H cannot overflow
         H = 0.5 * H + 0.5 * H.T
     if B is not None:
-        _require_finite("mixed derivative B", B)
+        finite("mixed derivative B", B)
 
     fr, pinv = _Factor(H), False
     if not np.isfinite(fr.cond) or fr.cond > COND_LIMIT:
@@ -414,9 +392,7 @@ def build_context(problem, x, y, multipliers=None,
         def b_columns(cols):
             block = checked("b_columns", d.b_columns(x, y, cols), n, m,
                             c=cols.size)
-            if not np.isfinite(block).all():
-                _require_finite(f"B columns {cols[0]}..{cols[-1]}", block)
-            return block
+            return finite(f"B columns {cols[0]}..{cols[-1]}", block)
     if stack.size < k:
         A, C = A[stack], C[stack]
     return GradientContext(

@@ -159,9 +159,8 @@ def fd_hessian_blocks(problem, x, y, config=FdConfig()):
     Analytic *second* derivatives are never consulted here: this op is
     the oracle for them.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, m = problem.input_dim, problem.output_dim
+    x, y = checked("x", x, n, m), checked("y", y, n, m)
 
     def blocks(fn, which):
         if fn is None:

@@ -36,12 +36,13 @@ import numpy as np
 from . import _kernels
 from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
                    Jacobian, Solution, SolverDiverged, SolverInfo,
-                   UndefinedGradient, STATIONARITY_TOL)
+                   UndefinedGradient, STATIONARITY_TOL, checked, finite)
 
 KINK_TOL = 1e-9          # |y - x_i| within this of alpha counts as a kink
 TIE_TOL = 1e-12          # multi-start objective tie breaker
 LEVEL_RTOL = 1e-14       # relative gap in f that is level to rounding
 MAX_ITERS = 200
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 class Penalty(enum.Enum):
@@ -255,9 +256,9 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
     B, n = X.shape
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
     lo, hi = X.min(-1), X.max(-1)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    ok = np.isfinite(lo) & np.isfinite(hi)
+    if not ok.all():
+        i = int(np.argmin(ok))
         count = n - int(np.count_nonzero(np.isfinite(X[i])))
         raise InfeasibleProblem(
             f"pooling input row {i} has {count} non-finite of n={n} entries "
@@ -272,10 +273,13 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
         rows = [(y, sums, 0) for y, sums in zip(
             ys.tolist(), zip(f.tolist(), d1.tolist(), d2.tolist()))]
     else:
-        starts = _medians(X).tolist()
+        big = n * max(max(hi), -min(lo)) > _HALF_MAX   # a start may overflow
+        starts = _refilled(lambda: _medians(X),
+                           lambda: 2.0 * _medians(0.5 * X), big).tolist()
         if spec.kind in (Penalty.WELSCH, Penalty.TRUNCATED_QUADRATIC):
             # lanes 0..B-1 start at the row means, lanes B..2B-1 at the medians
-            starts = X.mean(-1).tolist() + starts
+            starts = _refilled(lambda: X.mean(-1), lambda: (X / n).sum(-1),
+                               big).tolist() + starts
             X, restarts = np.concatenate([X, X]), 1
         rows = _lockstep(spec, X, [
             _polished(_local_descent(spec, n, u0, lo[k % B], hi[k % B], tol,
@@ -308,6 +312,16 @@ def _medians(X):
         return np.partition(X, k, -1)[:, k] + 0.0
     part = np.partition(X, [k - 1, k], -1)
     return 0.5 * (part[:, k - 1] + part[:, k] + 0.0)
+
+
+def _refilled(ordinary, halved, big):
+    """ordinary(); when big, each entry that overflowed to +-inf is taken
+    from halved(), the same value computed without the overflowing sum."""
+    if not big:
+        return ordinary()
+    with np.errstate(over="ignore"):
+        out = ordinary()
+    return np.where(np.isinf(out), halved(), out)
 
 
 def _lower(a, b):
@@ -349,18 +363,15 @@ def robust_pool_gradient(x, spec, y):
         welsch               w_i = (alpha^2 - (y-x_i)^2)/alpha^4 * exp(...)
 
     Welsch weights are scaled by the largest exponent before normalization
-    so they stay representable.  A non-finite x or y, or a zero (or fully
-    cancelling) weight sum, raises UndefinedGradient.  one_sided is set when y sits on a Huber or
+    so they stay representable.  An x not of shape (n,), n >= 1, or a y
+    neither a float nor of shape (1,), raises DimensionMismatch; a
+    non-finite x or y, or a zero (or fully cancelling) weight sum, raises
+    UndefinedGradient.  one_sided is set when y sits on a Huber or
     TruncatedQuadratic kink (|y - x_i| = alpha within 1e-9).
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = finite("x", checked("x", x, max(np.size(x), 1), 1))
+    y = float(finite("y", checked("y", np.atleast_1d(y), x.size, 1))[0])
     spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec(spec)
-    y = float(np.asarray(y, dtype=float).ravel()[0]) if np.ndim(y) else float(y)
-    if not (math.isfinite(y) and np.all(np.isfinite(x))):
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
-        raise UndefinedGradient(
-            f"non-finite pooling point: y={y}, {bad} non-finite of n={x.size} "
-            f"entries of x (penalty={spec.kind.value}, alpha={spec.alpha})")
     w, wsum = _kernels.penalty_weights(spec.code, spec.alpha, y, x)
     if wsum == 0.0 or abs(wsum) <= 1e-12 * float(np.sum(np.abs(w))):
         raise UndefinedGradient(

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
-                   Jacobian, Solution, SolverInfo, UndefinedGradient, checked)
+                   Jacobian, Solution, SolverInfo, UndefinedGradient, checked,
+                   finite)
 
 TIE_TOL = 1e-9        # Linf largest-magnitude tie detection
 BOUNDARY_RTOL = 1e-9  # ball boundary detection, relative to radius
@@ -143,7 +144,8 @@ def _unit_sphere_project(z, norm):
 
 
 def project(x, spec):
-    """Solve the projection problem.  Returns a Solution with m = n.
+    """Solve the projection problem for x of shape (n,), n >= 1 (any other
+    shape is a DimensionMismatch).  Returns a Solution with m = n.
 
     Sphere solutions carry the single equality multiplier; ball solutions
     carry the single inequality multiplier (zero when inactive) and the
@@ -154,16 +156,16 @@ def project(x, spec):
     objective_value may overflow to inf when ||x|| nears the float range,
     as their exact values do.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    n = max(np.size(x), 1)
+    x = checked("x", x, n, n)
     spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
     r = spec.radius
     with np.errstate(over="ignore"):
         z = x / r
     if not np.isfinite(z).all():
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        finite("x", x, InfeasibleProblem)
         raise InfeasibleProblem(
-            f"projection input has {bad} non-finite of n={x.size} entries"
-            if bad else f"x / radius overflows for n={x.size} "
+            f"x / radius overflows for n={n} "
             f"(max|x| = {float(np.max(np.abs(x))):.3e}, radius={r})")
     if spec.surface is Surface.SPHERE:
         w, lam = _unit_sphere_project(z, spec.norm)
@@ -222,15 +224,10 @@ def _sphere_gradient(z, w, norm, masked):
 
 def _gradient_structure(x, spec, y):
     """(d, c, a, one_sided): the projection Jacobian is diag(d) - c a a^T."""
-    x = np.asarray(x, dtype=float).ravel()
+    n = max(np.size(x), 1)
+    x = finite("x", checked("x", x, n, n))
+    y = finite("y", checked("y", y, n, n))
     spec = spec if isinstance(spec, ProjectionSpec) else ProjectionSpec(spec)
-    y = np.asarray(y, dtype=float).ravel()
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise UndefinedGradient(
-            f"non-finite projection point: "
-            f"{x.size - int(np.count_nonzero(np.isfinite(x)))} non-finite of "
-            f"n={x.size} entries of x, "
-            f"{y.size - int(np.count_nonzero(np.isfinite(y)))} of y")
     z = x / spec.radius
     w = y / spec.radius
     if spec.surface is Surface.SPHERE:
@@ -254,7 +251,8 @@ def project_gradient(x, spec, y):
     exact zero strictly inside, sphere form outside; on the boundary
     (within 1e-9 relative) the sphere form is returned with
     one_sided = true.  Every form is diag(d) - c a a^T, materialized here;
-    project_vjp applies the same structure without forming it.  A
+    project_vjp applies the same structure without forming it.  x and y
+    not both of one shape (n,), n >= 1, raise DimensionMismatch; a
     non-finite x or y, or an L2 scale 1/||x|| beyond the float range,
     raises UndefinedGradient.
     """

@@ -310,7 +310,7 @@ def _shape_case(name):
 
 
 def test_shape_table_covers_every_callback_and_caller_array():
-    assert set(SHAPES) == set(CALLBACKS) | {"x", "y", "u", "v"}
+    assert set(SHAPES) == set(CALLBACKS) | {"x", "y", "u", "v", "jac"}
 
 
 @pytest.mark.parametrize("transform", [_padded, _reshaped],
@@ -424,6 +424,21 @@ def test_wrong_length_caller_array_is_dimension_mismatch(site, want):
         calls[site] = lambda: solution_residuals(bad, z, sphere_solve(z))
     with pytest.raises(DimensionMismatch, match=re.escape(want)):
         calls[site]()
+
+
+@pytest.mark.parametrize("multipliers, want", [
+    (np.zeros(0), "multipliers: expected length 1 (p), got 0"),
+    (np.zeros(2), "multipliers: expected length 1 (p), got 2"),
+], ids=["short", "long"])
+def test_solution_residuals_checks_multiplier_length(multipliers, want):
+    """The multipliers of a Solution are checked against p + q as
+    build_context checks them: a short vector is not numpy's matmul
+    ValueError, and a long one is not sliced silently."""
+    problem, solve = gallery.sphere_equality_problem(3, 4, 0)
+    x = np.array([0.4, -0.3, 0.9])
+    sol = dataclasses.replace(solve(x), multipliers=multipliers)
+    with pytest.raises(DimensionMismatch, match=re.escape(want)):
+        solution_residuals(problem, x, sol)
 
 
 @pytest.mark.parametrize("mode, want", [

@@ -457,6 +457,21 @@ def test_convex_pooling_cost_does_not_grow_with_the_data_scale(kind, scales,
     assert len(set(iters)) == 1, iters
 
 
+@pytest.mark.parametrize("kind", ["huber", "truncated_quadratic"])
+def test_starts_of_huge_finite_rows_do_not_overflow(kind):
+    """The median's middle pair [1e308, 1.5e308] sums past the float range,
+    and so does the truncated quadratic's mean start.  Such a start is
+    recomputed from halved values (the suite makes the overflow warning
+    an error), while an ordinary row in the same stack keeps its bits."""
+    spec = PenaltySpec(kind, 1.0)
+    assert robust_pool(np.array([1e308, 1.5e308]), spec).y[0] == 1.25e308
+    ordinary = np.array([0.3, -1.2, 0.7, 5.0])
+    stack = np.array([[1e308, 1.5e308, 1.2e308, 1.4e308], ordinary])
+    ys = robust_pool(stack, spec).y
+    assert ys[1] == robust_pool(ordinary, spec).y[0]
+    assert 1e308 <= ys[0] <= 1.5e308
+
+
 @pytest.mark.parametrize("kind, y", [("huber", 0.5),
                                      ("truncated_quadratic", 0.0)])
 def test_piecewise_kernels_never_square_an_outlier(kind, y):
