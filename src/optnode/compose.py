@@ -8,6 +8,8 @@ where one_sided is the flag the node's Jacobian at (x, solution) carries.
 Every solve takes x of shape (input_dim,), else DimensionMismatch, and a
 non-finite x is InfeasibleProblem; the y and jac that a user's callable
 returns are checked against (output_dim,) and (output_dim, input_dim).
+Every vjp takes v of shape (output_dim,), else DimensionMismatch, and a
+non-finite v is UndefinedGradient, before any work.
 
 Chains validate adjacent dimensions, cache every intermediate Solution on
 the forward pass, and run the backward pass as right-to-left VJPs so no
@@ -50,14 +52,22 @@ class Node:
         raise NotImplementedError
 
     def vjp(self, v, x, solution):
-        """(v^T Dy, one_sided) at (x, solution), from the node's Jacobian."""
-        v = self._checked("v", v)
+        """(v^T Dy, one_sided) at (x, solution), from the node's Jacobian;
+        a v^T Dy that overflows raises UndefinedGradient."""
+        v = self._cotangent(v)
         jac = self.jacobian(x, solution)
-        return v @ jac.matrix, jac.one_sided
+        with np.errstate(over="ignore", invalid="ignore"):   # finite() reports
+            out = v @ jac.matrix
+        return finite("v^T Dy", out), jac.one_sided
 
     def _checked(self, name, value):
         """core.checked in this node's dimensions."""
         return checked(name, value, self.input_dim, self.output_dim)
+
+    def _cotangent(self, v):
+        """v as a finite (output_dim,) vector: the check every vjp makes
+        before any work."""
+        return finite("v", self._checked("v", v))
 
 
 class ImperativeNode(Node):
@@ -107,6 +117,7 @@ class DeclarativeNode(Node):
             self.problem, x, solution.y, _multipliers(solution))
 
     def vjp(self, v, x, solution):
+        v = self._cotangent(v)
         ctx = implicit_diff.build_context(self.problem, x, solution.y,
                                           _multipliers(solution))
         return (implicit_diff.vjp(v, ctx, mode="stream_columns"),

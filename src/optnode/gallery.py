@@ -11,9 +11,23 @@ SolverDiverged when y comes out non-finite.  A solve raises no numpy
 floating-point warning: an overflow in it gives that error or an
 objective_value of inf.  scipy.linalg is imported by the functions that
 factor, on their first call.
+
+The strongly convex and linear equality problems keep one thing across
+solves: the factors of the first Newton step.  Every solve starts at
+u = 0, and their f_yy(x, u) = Q + eps*diag(cosh u) never reads x, so that
+step's Hessian, its Cholesky factor L and, with constraints, L^-1 A' and
+its Gram matrix are the same for every x.  They are computed on the
+problem's first solve, not when it is built.  A factorisation that fails
+caches nothing, so every later solve raises the same SolverDiverged.  Two
+threads racing through a cold problem at worst compute the same factors
+twice, so the nodes built on these problems stay shareable.  Within one
+solve, tanh(Mx) is computed once and shared by every residual and the
+objective value.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -69,18 +83,26 @@ def _convex_pieces(rng, input_dim, output_dim):
         f(x, u) = 0.5 u'Qu + eps * sum cosh(u_j) - u' tanh(Mx)
 
     Q is SPD with spectrum bounded away from zero, so the Hessian
-    Q + eps*diag(cosh(u)) is uniformly positive definite.
+    Q + eps*diag(cosh(u)) is uniformly positive definite.  newton(label,
+    A) returns solve(x, b) -> (u, lam, iterations, f(x, u)): _kkt_newton
+    on this objective subject to A u = b, with the first step's factors
+    cached as the module docstring says.
     """
     Q = _spd(rng, output_dim)
     M = rng.normal(size=(output_dim, input_dim)) / np.sqrt(input_dim)
     e = _SOFT_CURVE
 
+    def energy(u, t):   # f(x, u) given t = tanh(Mx)
+        return float(0.5 * u @ Q @ u + e * np.sum(np.cosh(u)) - u @ t)
+
+    def gradient(u, t):
+        return Q @ u + e * np.sinh(u) - t
+
     def value(x, u):
-        return float(0.5 * u @ Q @ u + e * np.sum(np.cosh(u))
-                     - u @ np.tanh(M @ x))
+        return energy(u, np.tanh(M @ x))
 
     def f_y(x, u):
-        return Q @ u + e * np.sinh(u) - np.tanh(M @ x)
+        return gradient(u, np.tanh(M @ x))
 
     def f_yy(x, u):
         return Q + e * np.diag(np.cosh(u))
@@ -90,10 +112,52 @@ def _convex_pieces(rng, input_dim, output_dim):
             t = np.tanh(M @ x)
         return -(1.0 - t * t)[:, None] * M
 
-    return Q, M, value, f_y, f_yy, f_xy
+    def newton(label, A=None):
+        A = np.zeros((0, output_dim)) if A is None else A
+
+        @functools.cache
+        def first():   # f_yy(x, 0) is the same for every x; shared read-only
+            factors = _step_factors(f_yy(None, np.zeros(output_dim)), A,
+                                    label)
+            for a in factors:
+                if a is not None:
+                    a.setflags(write=False)
+            return factors
+
+        def solve(x, b=None):
+            t = np.tanh(M @ x)
+            u, lam, it = _kkt_newton(lambda _, u: gradient(u, t), f_yy, x,
+                                     output_dim, A, b, label, first)
+            return u, lam, it, energy(u, t)
+        return solve
+
+    return Q, M, value, f_y, f_yy, f_xy, newton
 
 
-def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
+def _diverged(label, H, A):
+    return SolverDiverged(f"{label} KKT newton: H {H.shape} not positive "
+                          f"definite or A {A.shape} rank deficient")
+
+
+def _step_factors(H, A, label):
+    """(L, V, V'V) of one range-space step: H = LL' and V = L^-1 A', with
+    V and V'V None when A has no rows.  H not finite or not positive
+    definite raises SolverDiverged naming label."""
+    import scipy.linalg
+    if not np.isfinite(H).all():
+        raise SolverDiverged(f"{label} KKT newton: H {H.shape} not finite")
+    try:
+        L = scipy.linalg.cholesky(H, lower=True, check_finite=False)
+        if not A.shape[0]:
+            return L, None, None
+        V = scipy.linalg.solve_triangular(L, A.T, lower=True,
+                                          check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise _diverged(label, H, A) from err
+    return L, V, V.T @ V
+
+
+def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
     """(u, lam, iterations): u = argmin f(x, .) s.t. A u = b (A None: p = 0).
 
     Range-space KKT Newton (Nocedal & Wright, 2nd ed., sec. 16.2) from
@@ -101,11 +165,17 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
     V = L^-1 A' and w = L^-1 r1, the step solves V'V dlam = r2 - V'w and
     du = L^-T (w + V dlam), and is halved until max|r| falls, to 1e-12
     within 100 steps.  H not finite or not positive definite raises
-    SolverDiverged naming label.  The sphere keeps its own loop: its
-    Lagrangian Hessian f_yy - lam I is indefinite at most sphere points off
-    the solution (82 % of 28 800 sampled), where a Cholesky fails."""
+    SolverDiverged naming label.  first, when given, returns the factors
+    (L, V, V'V) of the step from u = 0 in place of factoring f_yy(x, 0):
+    a caller whose f_yy(x, 0) does not depend on x passes a cached one,
+    so its later solves each factor one H fewer; a successful solve then
+    makes iterations - 1 factorisations, not iterations.  The sphere keeps
+    its own loop: its Lagrangian Hessian f_yy - lam I is indefinite at
+    most sphere points off the solution (82 % of 28 800 sampled), where a
+    Cholesky fails."""
     import scipy.linalg
-    A, b = (np.zeros((0, m)), np.zeros(0)) if A is None else (A, b)
+    A = np.zeros((0, m)) if A is None else A
+    b = np.zeros(0) if b is None else b
     u, lam = np.zeros(m), np.zeros(A.shape[0])
     tri = scipy.linalg.solve_triangular
 
@@ -117,20 +187,15 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
     for it in range(100):
         if res <= 1e-12:
             return u, lam, it
-        H = f_yy(x, u)
-        if not np.isfinite(H).all():
-            raise SolverDiverged(f"{label} KKT newton: H {H.shape} not finite")
-        try:
-            L = scipy.linalg.cholesky(H, lower=True, check_finite=False)
-            w, dlam = tri(L, r1, lower=True, check_finite=False), np.zeros(0)
-            if A.shape[0]:
-                V = tri(L, A.T, lower=True, check_finite=False)
-                dlam = np.linalg.solve(V.T @ V, r2 - V.T @ w)
-                w = w + V @ dlam
-        except np.linalg.LinAlgError as err:
-            raise SolverDiverged(
-                f"{label} KKT newton: H {H.shape} not positive definite or "
-                f"A {A.shape} rank deficient") from err
+        L, V, VtV = (first() if it == 0 and first is not None
+                     else _step_factors(f_yy(x, u), A, label))
+        w, dlam = tri(L, r1, lower=True, check_finite=False), np.zeros(0)
+        if V is not None:
+            try:
+                dlam = np.linalg.solve(VtV, r2 - V.T @ w)
+            except np.linalg.LinAlgError as err:
+                raise _diverged(label, L, A) from err
+            w = w + V @ dlam
         du = tri(L, w, lower=True, trans="T", check_finite=False)
         for t in 0.5 ** np.arange(50):
             un, ln = u - t * du, lam - t * dlam
@@ -146,14 +211,16 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label=""):
 def strongly_convex_problem(input_dim, output_dim, seed):
     """Unconstrained smooth problem with a unique minimizer."""
     rng = np.random.default_rng(seed)
-    Q, M, value, f_y, f_yy, f_xy = _convex_pieces(rng, input_dim, output_dim)
+    _, _, value, f_y, f_yy, f_xy, newton = _convex_pieces(
+        rng, input_dim, output_dim)
     problem = DeclarativeProblem(
         objective=value, input_dim=input_dim, output_dim=output_dim,
         derivatives=Derivatives(f_y=f_y, f_yy=f_yy, f_xy=f_xy))
+    kkt = newton("unconstrained")
 
     def solve(x):
-        y, _, it = _kkt_newton(f_y, f_yy, x, output_dim, label="unconstrained")
-        return _solution(y, np.zeros(0), it, value(x, y))
+        y, _, it, fy = kkt(x)
+        return _solution(y, np.zeros(0), it, fy)
 
     return _finite_io(problem, solve)
 
@@ -165,7 +232,8 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
     rhs_depends_on_x=False sets P = 0, giving the fixed-target system
     A u = d, whose constraint stack has C = 0."""
     rng = np.random.default_rng(seed)
-    Q, M, value, f_y, f_yy, f_xy = _convex_pieces(rng, input_dim, output_dim)
+    _, _, value, f_y, f_yy, f_xy, newton = _convex_pieces(
+        rng, input_dim, output_dim)
     A = rng.normal(size=(n_constraints, output_dim))
     P = rng.normal(size=(n_constraints, input_dim)) / np.sqrt(input_dim)
     if not rhs_depends_on_x:
@@ -184,10 +252,11 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
         eq_constraints=lambda x, u: A @ u - (P @ x + d),
         derivatives=derivs)
 
+    kkt = newton("equality", A)
+
     def solve(x):
-        u, lam, it = _kkt_newton(f_y, f_yy, x, output_dim, A, P @ x + d,
-                                 label="equality")
-        return _solution(u, lam, it, value(x, u))
+        u, lam, it, fu = kkt(x, P @ x + d)
+        return _solution(u, lam, it, fu)
 
     return _finite_io(problem, solve)
 
@@ -195,7 +264,8 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
 def sphere_equality_problem(input_dim, output_dim, seed):
     """Convex objective restricted to the unit sphere h = (u'u - 1)/2."""
     rng = np.random.default_rng(seed)
-    Q, M, value, f_y, f_yy, f_xy = _convex_pieces(rng, input_dim, output_dim)
+    Q, M, value, f_y, f_yy, f_xy, _ = _convex_pieces(rng, input_dim,
+                                                     output_dim)
     m = output_dim
 
     derivs = Derivatives(

@@ -97,10 +97,13 @@ class _Factor:
         self.cond = 1.0 / rcond if rcond > 0.0 else np.inf
 
     def solve(self, rhs):
+        """H^-1 rhs, without rescanning the factor for non-finite entries:
+        a non-finite rhs gives a non-finite result, and every caller
+        checks its result with core.finite."""
         import scipy.linalg
         if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, rhs)
-        return scipy.linalg.lu_solve(self._lu, rhs)
+            return scipy.linalg.cho_solve(self._cho, rhs, check_finite=False)
+        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
 
 class _PinvFactor:
@@ -244,12 +247,13 @@ def recover_multipliers(A, grad_f):
     """Analytic multipliers lambda = (A A^T)^-1 A (D_Y f)^T.
 
     A must have full row rank; the residual ||lambda^T A - D_Y f||_inf is
-    zero (to tolerance) whenever y is a stationary point.
+    zero (to tolerance) whenever y is a stationary point.  Multipliers
+    that overflow raise UndefinedGradient.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     grad_f = np.asarray(grad_f, dtype=float).ravel()
-    return _gated_factor(A @ A.T, lambda cond: (
-        f"cond(AA^T) ~ {cond:.3e} for A of shape {A.shape}")).solve(A @ grad_f)
+    return finite("multipliers", _gated_factor(A @ A.T, lambda cond: (
+        f"cond(AA^T) ~ {cond:.3e} for A of shape {A.shape}")).solve(A @ grad_f))
 
 
 # ---------------------------------------------------------------------------
@@ -425,35 +429,21 @@ def _kkt_solve(fr, A, r1, r2, cnt):
 
 def jacobian_from_context(context, counter=None):
     """Materialize the full Dy(x) from a context, shape (m, n): -a of the
-    KKT solve with right-hand side (B, C)."""
+    KKT solve with right-hand side (B, C).  A Dy that overflows raises
+    UndefinedGradient."""
     cnt = counter if counter is not None else AllocationCounter()
     B = context.B
     if B is None:
         B = cnt.adopt(context.b_columns(np.arange(context.n)))
-    a, _ = _kkt_solve(context.h_factorization, context.A, B, context.C, cnt)
-    return np.negative(a, out=a)   # in place: Dy may be the largest array
+    with np.errstate(over="ignore", invalid="ignore"):   # finite() reports
+        a, _ = _kkt_solve(context.h_factorization, context.A, B, context.C,
+                          cnt)
+    np.negative(a, out=a)   # in place: Dy may be the largest array
+    return finite("Dy", a)
 
 
-def vjp(v, context, mode="materialize", counter=None):
-    """v^T Dy(x) for a prepared context, shape (n,).
-
-    mode "materialize" forms Dy and multiplies.  mode "stream_columns"
-    solves the KKT system with right-hand side (v, 0) and returns
-    v~^T B - s^T C with v~ = -a and s = b.  On a streaming context B is
-    generated in blocks of max(1, n // m) columns, one b_columns call and
-    one product per block, so auxiliary storage stays O(m + n) and the
-    full matrix is never stored; both modes agree to 1e-12.  A v not of
-    shape (m,) raises DimensionMismatch in either mode.  Pass an
-    AllocationCounter to measure auxiliary storage.
-    """
-    v = checked("v", v, context.n, context.H.shape[0])
-    cnt = counter if counter is not None else AllocationCounter()
-    if mode == "materialize":
-        Dy = jacobian_from_context(context, cnt)
-        return v @ Dy
-    if mode != "stream_columns":
-        raise ValueError(f"unknown vjp mode {mode!r}")
-
+def _streamed(v, context, cnt):
+    """v~^T B - s^T C from the KKT solve with right-hand side (v, 0)."""
     a, s = _kkt_solve(context.h_factorization, context.A, v, 0.0, cnt)
     vt = -a
     if context.B is not None:
@@ -470,6 +460,29 @@ def vjp(v, context, mode="materialize", counter=None):
             cnt.release(cols)
     out -= s @ context.C
     return out
+
+
+def vjp(v, context, mode="materialize", counter=None):
+    """v^T Dy(x) for a prepared context, shape (n,).
+
+    mode "materialize" forms Dy and multiplies.  mode "stream_columns"
+    solves the KKT system with right-hand side (v, 0) and returns
+    v~^T B - s^T C with v~ = -a and s = b.  On a streaming context B is
+    generated in blocks of max(1, n // m) columns, one b_columns call and
+    one product per block, so auxiliary storage stays O(m + n) and the
+    full matrix is never stored; both modes agree to 1e-12.  A v not of
+    shape (m,) raises DimensionMismatch in either mode, and a v with a
+    non-finite entry, or a result that overflows, UndefinedGradient.  Pass
+    an AllocationCounter to measure auxiliary storage.
+    """
+    v = finite("v", checked("v", v, context.n, context.H.shape[0]))
+    cnt = counter if counter is not None else AllocationCounter()
+    if mode not in ("materialize", "stream_columns"):
+        raise ValueError(f"unknown vjp mode {mode!r}")
+    with np.errstate(over="ignore", invalid="ignore"):   # finite() reports
+        out = (v @ jacobian_from_context(context, cnt)
+               if mode == "materialize" else _streamed(v, context, cnt))
+    return finite("v^T Dy", out)
 
 
 # ---------------------------------------------------------------------------

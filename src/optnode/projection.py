@@ -266,11 +266,14 @@ def project_vjp(v, x, spec, y):
     Dy = diag(d) - c a a^T is the structure project_gradient materializes,
     so v^T Dy = v * d - c (v . a) a.  Returns (v^T Dy, one_sided), with
     one_sided as project_gradient sets it; raises what project_gradient
-    raises, and DimensionMismatch when v is not of shape (n,).
+    raises, DimensionMismatch when v is not of shape (n,) and
+    UndefinedGradient when v has a non-finite entry or v^T Dy overflows.
     """
     d, c, a, one_sided = _gradient_structure(x, spec, y)
-    v = checked("v", v, d.size, d.size)
-    return v * d - (c * float(v @ a)) * a, one_sided
+    v = finite("v", checked("v", v, d.size, d.size))
+    with np.errstate(over="ignore", invalid="ignore"):   # finite() reports
+        out = v * d - (c * float(v @ a)) * a
+    return finite("v^T Dy", out), one_sided
 
 
 def as_problem(spec, n):

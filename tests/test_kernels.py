@@ -197,18 +197,28 @@ for norm in Norm:
         project_gradient(x, spec, y)
         project_vjp(np.ones(4), x, spec, y)
 assert "scipy" not in sys.modules, "study, pooling and projection"
-problem, solve = gallery.strongly_convex_problem(3, 2, 0)
+convex, convex_solve = gallery.strongly_convex_problem(3, 2, 0)
+_, equality_solve = gallery.linear_equality_problem(3, 2, 1, 0)
+assert "scipy" not in sys.modules, "building the gallery problems"
 x = np.array([0.1, 0.2, -0.3])
-optnode.build_context(problem, x, np.zeros(2))
-assert "scipy.linalg" in sys.modules, "build_context"
+first = {"build_context": lambda: optnode.build_context(convex, x, np.zeros(2)),
+         "strongly_convex": lambda: convex_solve(x),
+         "linear_equality": lambda: equality_solve(x)}[sys.argv[2]]
+first()
+assert "scipy.linalg" in sys.modules, sys.argv[2]
 """
 
 
 def test_scipy_loads_only_on_first_factorisation():
     """Importing optnode, the robustness study, pooling and projection
-    leave scipy unloaded; the first build_context loads scipy.linalg.
-    Runs in a fresh interpreter, since this one has scipy loaded already."""
+    leave scipy unloaded, and so does building the two gallery problems
+    that keep factors across solves (they fill that cache on their first
+    solve); the first build_context loads scipy.linalg, and so does each
+    problem's first solve.  Runs in a fresh interpreter per first
+    factorisation, since this one has scipy loaded already."""
     src = str(Path(optnode.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", _IMPORT_CONTRACT, src],
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    for first in ("build_context", "strongly_convex", "linear_equality"):
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_CONTRACT, src, first],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, (first, out.stderr)

@@ -1,17 +1,22 @@
 """One input contract at every node boundary: x has its declared shape
 and is finite, and the y and jac a user callable returns have theirs.
 Each repro below used to be accepted silently or to escape as a raw numpy
-error; each is now a DimensionMismatch naming both shapes."""
+error; each is now a DimensionMismatch naming both shapes.  Every vjp
+checks its cotangent v the same way: a non-finite v, which used to give
+NaN or scipy's raw ValueError, is an UndefinedGradient, and so is a
+backward pass whose result overflows."""
 
 import numpy as np
 import pytest
 
-from optnode import gallery
+from optnode import gallery, implicit_diff
 from optnode.compose import (DeclarativeNode, ImperativeNode, NodeChain,
                              PoolingNode, ProjectionNode)
-from optnode.core import DimensionMismatch, InfeasibleProblem, NodeError
+from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
+                          InfeasibleProblem, NodeError, UndefinedGradient)
 from optnode.pooling import PenaltySpec, robust_pool_gradient
-from optnode.projection import ProjectionSpec, project, project_gradient
+from optnode.projection import (ProjectionSpec, project, project_gradient,
+                                project_vjp)
 
 L2, L1, LINF = (ProjectionSpec(k) for k in ("l2", "l1", "linf"))
 HUBER = PenaltySpec("huber", 1.0)
@@ -111,3 +116,111 @@ def test_every_node_checks_its_input(kind):
             node.solve(np.array([0.5, value, 2.0]))
     with pytest.raises(NodeError):
         NodeChain([node]).forward(np.ones(5))
+
+
+def _context(m=3, problem=None):
+    problem = problem or gallery.strongly_convex_problem(4, m, 0)[0]
+    x = np.array([0.1, 0.2, -0.3, 0.4])[:problem.input_dim]
+    return implicit_diff.build_context(problem, x, np.zeros(m))
+
+
+def _node_vjp(node, v):
+    x = np.array([0.5, -1.0, 2.0])
+    return node.vjp(v, x, node.solve(x))
+
+
+def _chain_backward(v):
+    node = DeclarativeNode(*gallery.strongly_convex_problem(3, 3, 0))
+    x = np.array([0.5, -1.0, 2.0])
+    return NodeChain([node]).backward(x, [node.solve(x)], v)
+
+
+NAN3 = np.array([np.nan, 0.0, 0.0])
+V_REPROS = {
+    "engine_stream_columns": (
+        lambda: implicit_diff.vjp(NAN3, _context(), mode="stream_columns"),
+        "v of shape (3,) has 1 non-finite of n=3 entries"),
+    "engine_materialize": (
+        lambda: implicit_diff.vjp(NAN3, _context(), mode="materialize"),
+        "v of shape (3,) has 1 non-finite of n=3 entries"),
+    "declarative_node": (
+        lambda: _node_vjp(DeclarativeNode(
+            *gallery.strongly_convex_problem(3, 3, 0)), NAN3),
+        "v of shape (3,) has 1 non-finite of n=3 entries"),
+    "declarative_chain_backward": (
+        lambda: _chain_backward(np.array([np.inf, np.nan, 0.0])),
+        "v of shape (3,) has 2 non-finite of n=3 entries"),
+    "pooling_node": (lambda: _node_vjp(PoolingNode(HUBER, 3),
+                                       np.array([np.inf])),
+                     "v of shape (1,) has 1 non-finite of n=1 entries"),
+    "projection_node": (lambda: _node_vjp(ProjectionNode(L2, 3), NAN3),
+                        "v of shape (3,) has 1 non-finite of n=3 entries"),
+    "project_vjp": (
+        lambda: project_vjp(NAN3, np.array([0.5, -1.0, 2.0]), L2,
+                            project(np.array([0.5, -1.0, 2.0]), L2).y),
+        "v of shape (3,) has 1 non-finite of n=3 entries"),
+    "imperative_node": (
+        lambda: _node_vjp(ImperativeNode(lambda z: 2.0 * z, 3, 3), NAN3),
+        "v of shape (3,) has 1 non-finite of n=3 entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V_REPROS))
+def test_nonfinite_cotangent_is_undefined_gradient(name):
+    call, message = V_REPROS[name]
+    with pytest.raises(UndefinedGradient) as err:
+        call()
+    assert str(err.value) == f"UndefinedGradient: {message}"
+
+
+def _overflowing():
+    """H = 1e-300 I and B = 1e10 I: every entry of Dy = -H^-1 B is -1e310,
+    past the float range, from finite derivative blocks."""
+    H, B = 1e-300 * np.eye(2), 1e10 * np.eye(2)
+    return DeclarativeProblem(
+        objective=lambda x, u: float(0.5e-300 * u @ u + 1e10 * x @ u),
+        input_dim=2, output_dim=2,
+        derivatives=Derivatives(f_y=lambda x, u: 1e-300 * u + 1e10 * x,
+                                f_yy=lambda x, u: H, f_xy=lambda x, u: B))
+
+
+OVERFLOWS = {
+    "jacobian": (lambda ctx: implicit_diff.jacobian_from_context(ctx),
+                 "Dy of shape (2, 2) has 3 non-finite of n=4 entries"),
+    "vjp_materialize": (
+        lambda ctx: implicit_diff.vjp(np.ones(2), ctx, mode="materialize"),
+        "Dy of shape (2, 2) has 3 non-finite of n=4 entries"),
+    "vjp_stream_columns": (
+        lambda ctx: implicit_diff.vjp(np.ones(2), ctx, mode="stream_columns"),
+        "v^T Dy of shape (2,) has 2 non-finite of n=2 entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflowing_backward_pass_is_undefined_gradient(name):
+    """The engine's solves do not rescan their factor for non-finite
+    entries; the result is checked instead, so an overflow is a NodeError
+    (inf and NaN came back before) and leaks no numpy warning."""
+    call, message = OVERFLOWS[name]
+    with pytest.raises(UndefinedGradient) as err:
+        call(_context(2, _overflowing()))
+    assert str(err.value) == f"UndefinedGradient: {message}"
+
+
+TINY = np.array([1e-300, 1e-300, 0.0])   # the L2 sphere scales by 1/||x||
+NODE_OVERFLOWS = {
+    "imperative_node": lambda: _node_vjp(
+        ImperativeNode(lambda z: 4.0 * z, 3, 3), np.full(3, 1e308)),
+    "project_vjp": lambda: project_vjp(np.array([1e10, 0.0, 0.0]), TINY, L2,
+                                       project(TINY, L2).y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_OVERFLOWS))
+def test_overflowing_node_vjp_is_undefined_gradient(name):
+    """A finite v whose v^T Dy passes the float range raised numpy's raw
+    overflow warning and returned inf."""
+    with pytest.raises(UndefinedGradient) as err:
+        NODE_OVERFLOWS[name]()
+    assert str(err.value) == ("UndefinedGradient: v^T Dy of shape (3,) has "
+                              "3 non-finite of n=3 entries")
