@@ -9,8 +9,12 @@ Every solve raises DimensionMismatch on an x not of shape (n,) and
 InfeasibleProblem on an x with a non-finite entry, before any work, and
 SolverDiverged when y comes out non-finite.  A solve raises no numpy
 floating-point warning: an overflow in it gives that error or an
-objective_value of inf.  scipy.linalg is imported by the functions that
-factor, on their first call.
+objective_value of inf.  The functions that factor call LAPACK directly,
+importing scipy.linalg.lapack on their first call: dpotrf and dtrtrs,
+which scipy.linalg.cholesky and solve_triangular run, and dpotrs, which
+cho_solve runs.  The results are the wrappers' bit for bit, without
+their per-call Python checks, which at these sizes cost more than a
+triangular solve.
 
 The strongly convex and linear equality problems keep one thing across
 solves: the factors of the first Newton step.  Every solve starts at
@@ -139,19 +143,33 @@ def _diverged(label, H, A):
                           f"definite or A {A.shape} rank deficient")
 
 
+def _tri(L, b, trans=0):
+    """L^-1 b (trans=1: L^-T b) for a lower-triangular L in column-major
+    order, as dpotrf returns it: dtrtrs, which solve_triangular calls for
+    such an L, without that wrapper.  A failure (an exactly zero pivot,
+    which a successful dpotrf never leaves) raises LinAlgError."""
+    from scipy.linalg import lapack
+    x, info = lapack.dtrtrs(L, b, lower=1, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    return x
+
+
 def _step_factors(H, A, label):
     """(L, V, V'V) of one range-space step: H = LL' and V = L^-1 A', with
     V and V'V None when A has no rows.  H not finite or not positive
-    definite raises SolverDiverged naming label."""
-    import scipy.linalg
+    definite raises SolverDiverged naming label.  L is dpotrf's, called
+    directly rather than through scipy.linalg.cholesky."""
+    from scipy.linalg import lapack
     if not np.isfinite(H).all():
         raise SolverDiverged(f"{label} KKT newton: H {H.shape} not finite")
+    L, info = lapack.dpotrf(H, lower=1, clean=1)
+    if info:
+        raise _diverged(label, H, A)
+    if not A.shape[0]:
+        return L, None, None
     try:
-        L = scipy.linalg.cholesky(H, lower=True, check_finite=False)
-        if not A.shape[0]:
-            return L, None, None
-        V = scipy.linalg.solve_triangular(L, A.T, lower=True,
-                                          check_finite=False)
+        V = _tri(L, A.T)
     except np.linalg.LinAlgError as err:
         raise _diverged(label, H, A) from err
     return L, V, V.T @ V
@@ -165,7 +183,10 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
     V = L^-1 A' and w = L^-1 r1, the step solves V'V dlam = r2 - V'w and
     du = L^-T (w + V dlam), and is halved until max|r| falls, to 1e-12
     within 100 steps.  H not finite or not positive definite raises
-    SolverDiverged naming label.  first, when given, returns the factors
+    SolverDiverged naming label, and so does giving up: "stalled" when 50
+    halvings of one step found no decrease, "did not converge in 100
+    steps" when every step decreased max|r| but not to 1e-12; both give
+    the residual.  first, when given, returns the factors
     (L, V, V'V) of the step from u = 0 in place of factoring f_yy(x, 0):
     a caller whose f_yy(x, 0) does not depend on x passes a cached one,
     so its later solves each factor one H fewer; a successful solve then
@@ -173,11 +194,9 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
     its own loop: its Lagrangian Hessian f_yy - lam I is indefinite at
     most sphere points off the solution (82 % of 28 800 sampled), where a
     Cholesky fails."""
-    import scipy.linalg
     A = np.zeros((0, m)) if A is None else A
     b = np.zeros(0) if b is None else b
     u, lam = np.zeros(m), np.zeros(A.shape[0])
-    tri = scipy.linalg.solve_triangular
 
     def residual(u, lam):
         r1, r2 = f_y(x, u) - A.T @ lam, A @ u - b
@@ -189,14 +208,14 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
             return u, lam, it
         L, V, VtV = (first() if it == 0 and first is not None
                      else _step_factors(f_yy(x, u), A, label))
-        w, dlam = tri(L, r1, lower=True, check_finite=False), np.zeros(0)
+        w, dlam = _tri(L, r1), np.zeros(0)
         if V is not None:
             try:
                 dlam = np.linalg.solve(VtV, r2 - V.T @ w)
             except np.linalg.LinAlgError as err:
                 raise _diverged(label, L, A) from err
             w = w + V @ dlam
-        du = tri(L, w, lower=True, trans="T", check_finite=False)
+        du = _tri(L, w, trans=1)
         for t in 0.5 ** np.arange(50):
             un, ln = u - t * du, lam - t * dlam
             r1n, r2n, resn = residual(un, ln)
@@ -204,8 +223,11 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
                 u, lam, r1, r2, res = un, ln, r1n, r2n, resn
                 break
         else:
-            break
-    raise SolverDiverged(f"{label} KKT newton stalled at residual {res:.3e}")
+            raise SolverDiverged(f"{label} KKT newton stalled at residual "
+                                 f"{res:.3e}: 50 halvings of step {it} found "
+                                 f"no decrease")
+    raise SolverDiverged(f"{label} KKT newton did not converge in 100 steps: "
+                         f"residual {res:.3e}")
 
 
 def strongly_convex_problem(input_dim, output_dim, seed):
@@ -470,12 +492,14 @@ def wide_coupling_problem(output_dim, input_dim, seed):
     so the mixed second derivative is the (m, n) block -W.  The problem
     exposes column-block access to that block instead of a dense f_xy,
     which is what the streaming vector-Jacobian product consumes."""
-    import scipy.linalg
+    from scipy.linalg import lapack
     rng = np.random.default_rng(seed)
     m, n = output_dim, input_dim
     Q = _spd(rng, m)
     W = rng.normal(size=(m, n)) / np.sqrt(n)
-    cho = scipy.linalg.cho_factor(Q)
+    U, info = lapack.dpotrf(Q)   # upper, as scipy.linalg.cho_factor(Q)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
 
     derivs = Derivatives(
         f_y=lambda x, u: Q @ u - W @ x,
@@ -487,7 +511,9 @@ def wide_coupling_problem(output_dim, input_dim, seed):
 
     def solve(x):
         Wx = W @ x   # an overflowing W x gives a non-finite y
-        y = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
+        y, info = lapack.dpotrs(U, Wx)
+        if info:
+            raise ValueError(f"illegal argument {-info} to LAPACK dpotrs")
         return _solution(y, np.zeros(0), 1, float(0.5 * y @ Q @ y - y @ Wx))
 
     return _finite_io(problem, solve)

@@ -34,7 +34,13 @@ never stored.  H is factored once per context (Cholesky, LU when that
 fails); its condition gate reads LAPACK's estimate on that factor rather
 than an SVD, and so does the gate on the Schur complement A H^-1 A^T.
 scipy.linalg is imported inside the functions that factor, so importing
-this module does not load it.
+this module does not load it.  The solves and the rank repair's pivoted
+QR call LAPACK directly (dpotrs, dgetrs, dgeqp3 from scipy.linalg.lapack):
+these are the routines cho_solve, lu_solve and qr run, so the bits are
+the same, and a small solve no longer pays for the wrappers' Python
+checks, which cost more than the solve itself at m = 20.  The factor keeps scipy.linalg.cho_factor / lu_factor,
+because the benchmark's tracer counts factorisations by wrapping those
+two functions.
 """
 
 from __future__ import annotations
@@ -99,11 +105,16 @@ class _Factor:
     def solve(self, rhs):
         """H^-1 rhs, without rescanning the factor for non-finite entries:
         a non-finite rhs gives a non-finite result, and every caller
-        checks its result with core.finite."""
-        import scipy.linalg
+        checks its result with core.finite.  Calls dpotrs / dgetrs, the
+        routines cho_solve / lu_solve run, without their wrappers."""
+        from scipy.linalg import lapack
         if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, rhs, check_finite=False)
-        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+            x, info = lapack.dpotrs(self._cho[0], rhs, lower=1)
+        else:
+            x, info = lapack.dgetrs(*self._lu, rhs)
+        if info:
+            raise ValueError(f"illegal argument {-info} to a LAPACK solve")
+        return x
 
 
 class _PinvFactor:
@@ -220,12 +231,19 @@ def _rank_repair(A):
     Rows whose pivot magnitude falls below PIVOT_RTOL times the largest
     pivot are dropped (their multipliers are fixed to zero by callers).
     Returns (kept_indices, dropped_indices), kept in original order.
+    Only R's diagonal and the pivots are read, so dgeqp3 is called
+    directly (with the workspace it asks for, as scipy.linalg.qr does)
+    and Q is never formed.
     """
     if A.shape[0] == 0:
         return np.array([], dtype=int), np.array([], dtype=int)
-    import scipy.linalg
-    _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    from scipy.linalg import lapack
+    lwork = int(lapack.dgeqp3(A.T, lwork=-1)[3][0])
+    qr, piv, _, _, info = lapack.dgeqp3(A.T, lwork=lwork)
+    if info:
+        raise ValueError(f"illegal argument {-info} to LAPACK dgeqp3")
+    piv -= 1   # dgeqp3 numbers columns from 1
+    diag = np.abs(np.diag(qr))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.array([], dtype=int), np.arange(A.shape[0])
     nkeep = int(np.sum(diag >= PIVOT_RTOL * diag[0]))

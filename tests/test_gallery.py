@@ -3,6 +3,7 @@ solve, its refusal of a Hessian it cannot factor, and its iteration counts
 on the benchmark's problem sizes, and the first-step factors that the
 strongly convex and linear equality problems keep across solves."""
 
+import re
 import sys
 import threading
 
@@ -42,13 +43,78 @@ def test_range_space_step_matches_the_block_lu_solve(p, seed):
 @pytest.mark.parametrize("p", [0, 1])
 def test_indefinite_hessian_is_solver_diverged_naming_the_label(p):
     """Drawn non-positive-definite and non-finite Hessians are the property
-    test's (test_engine_properties); this is the plain case."""
+    test's (test_engine_properties); this is the plain case, with the
+    whole message."""
     H = np.diag([1.0, -0.5, 2.0])
     A = np.array([[1.0, 1.0, 0.0]]) if p else None
     b = np.array([0.5]) if p else None
-    with pytest.raises(SolverDiverged, match=r"probe KKT newton: H "):
+    with pytest.raises(SolverDiverged, match=re.escape(
+            f"probe KKT newton: H (3, 3) not positive definite or A ({p}, 3) "
+            "rank deficient")):
         gallery._kkt_newton(lambda x, u: u - 1.0, lambda x, u: H, None, 3,
                             A, b, label="probe")
+
+
+def test_a_step_that_never_decreases_the_residual_is_stalled():
+    """f_y = 1 - u against a positive f_yy: every halving of the step
+    raises max|r|, so the solve stalls at its first step."""
+    with pytest.raises(SolverDiverged, match=re.escape(
+            "probe KKT newton stalled at residual 1.000e+00: 50 halvings "
+            "of step 0 found no decrease")):
+        gallery._kkt_newton(lambda x, u: 1.0 - u,
+                            lambda x, u: np.eye(1), None, 1, label="probe")
+
+
+def test_a_solve_that_decreases_too_slowly_did_not_converge():
+    """An f_yy a million times too large shrinks max|r| by a factor of
+    1 - 1e-6 per full step: every step is taken, and the solve gives up
+    after 100 of them, not as a stall."""
+    with pytest.raises(SolverDiverged, match=re.escape(
+            "probe KKT newton did not converge in 100 steps: residual "
+            "9.999e-01")):
+        gallery._kkt_newton(lambda x, u: u - 1.0,
+                            lambda x, u: 1e6 * np.eye(1), None, 1,
+                            label="probe")
+
+
+@pytest.mark.parametrize("p", [0, 1, 5, 20])
+@pytest.mark.parametrize("m", [1, 6, 50])
+def test_step_factors_keep_the_bits_of_cholesky_and_solve_triangular(m, p):
+    """_step_factors and _tri call dpotrf / dtrtrs themselves; L, V, V'V
+    and both triangular solves of a step are scipy.linalg.cholesky's and
+    solve_triangular's bit for bit."""
+    import scipy.linalg
+    H, g, A, _ = _quadratic(m, p, seed=m + p)
+    L, V, VtV = gallery._step_factors(H, A, "probe")
+    ref = scipy.linalg.cholesky(H, lower=True, check_finite=False)
+    assert L.tobytes() == ref.tobytes()
+    if p:
+        Vref = scipy.linalg.solve_triangular(ref, A.T, lower=True,
+                                             check_finite=False)
+        assert V.tobytes() == Vref.tobytes()
+        assert VtV.tobytes() == (Vref.T @ Vref).tobytes()
+    else:
+        assert V is None and VtV is None
+    w = gallery._tri(L, g)
+    assert w.tobytes() == scipy.linalg.solve_triangular(
+        ref, g, lower=True, check_finite=False).tobytes()
+    assert gallery._tri(L, w, trans=1).tobytes() == \
+        scipy.linalg.solve_triangular(ref, w, lower=True, trans="T",
+                                      check_finite=False).tobytes()
+
+
+def test_wide_coupling_solve_keeps_the_bits_of_cho_solve():
+    """The wide-coupling solve factors Q with dpotrf and solves with dpotrs
+    itself: y is scipy.linalg.cho_solve(cho_factor(Q), W x) bit for bit."""
+    import scipy.linalg
+    m, n = 8, 300
+    problem, solve = gallery.wide_coupling_problem(m, n, seed=2)
+    d = problem.derivatives
+    cho = scipy.linalg.cho_factor(d.f_yy(None, None))
+    for x in np.random.default_rng(3).normal(size=(4, n)):
+        Wx = -d.f_y(x, np.zeros(m))   # f_y(x, 0) = -W x exactly
+        ref = scipy.linalg.cho_solve(cho, Wx, check_finite=False)
+        assert solve(x).y.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("make", [
@@ -84,15 +150,15 @@ def test_later_solves_reuse_the_first_step_factor(name, monkeypatch):
     """Every solve starts at u = 0 and f_yy there does not read x, so only
     a problem's first solve factors the first step's Hessian: it makes
     `iterations` Cholesky factorisations and each later solve one fewer."""
-    import scipy.linalg
+    from scipy.linalg import lapack
     calls = []
-    cholesky = scipy.linalg.cholesky
+    dpotrf = lapack.dpotrf
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return cholesky(*args, **kwargs)
+        return dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+    monkeypatch.setattr(lapack, "dpotrf", counted)
     solve = SMALL[name]()
     for k, x in enumerate(_inputs()):
         before = len(calls)

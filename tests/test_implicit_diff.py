@@ -17,7 +17,8 @@ from optnode.core import (DeclarativeProblem, Derivatives, DimensionMismatch,
                           NodeError, RankDeficientConstraints, SingularHessian,
                           UndefinedGradient)
 from optnode.implicit_diff import (AllocationCounter, GRADIENT_PATHS,
-                                   _curvature, build_context,
+                                   PIVOT_RTOL, _curvature, _Factor,
+                                   _rank_repair, build_context,
                                    gradient_equality,
                                    gradient_feasibility, gradient_inequality,
                                    gradient_unconstrained,
@@ -1058,3 +1059,74 @@ def test_build_context_memory_on_linear_constraints():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, f"build_context peak {peak / 1e6:.1f} MB"
+
+
+# --- direct LAPACK calls against scipy.linalg's wrappers --------------------
+
+def _symmetric(m, definite, seed):
+    """An SPD matrix, or the same with its first diagonal entry negated."""
+    G = np.random.default_rng(seed).normal(size=(m, m))
+    H = G.T @ G / m + 0.5 * np.eye(m)
+    if not definite:
+        H[0, 0] = -H[0, 0]
+    return H
+
+
+@pytest.mark.parametrize("definite", [True, False], ids=["spd", "not-pd"])
+@pytest.mark.parametrize("m", [1, 7, 60, 200])
+def test_factor_solve_keeps_the_bits_of_cho_solve_and_lu_solve(definite, m):
+    """_Factor.solve calls dpotrs / dgetrs itself; its result, for vector
+    and (m, k) right-hand sides in C and F order, is cho_solve's
+    (Cholesky) or lu_solve's (LU, for an H that is not positive definite)
+    bit for bit."""
+    import scipy.linalg
+    H = _symmetric(m, definite, seed=m)
+    f = _Factor(H)
+    assert (f._cho is not None) == definite
+    rng = np.random.default_rng(m + 1)
+    for rhs in (rng.normal(size=m), rng.normal(size=(m, 3)),
+                np.asfortranarray(rng.normal(size=(m, 5)))):
+        if definite:
+            ref = scipy.linalg.cho_solve(f._cho, rhs, check_finite=False)
+        else:
+            ref = scipy.linalg.lu_solve(f._lu, rhs, check_finite=False)
+        out = f.solve(rhs)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+def _qr_rank_repair(A):
+    """The rank repair written on scipy.linalg.qr, as the reference."""
+    import scipy.linalg
+    _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] <= 0.0:
+        return np.array([], dtype=int), np.arange(A.shape[0])
+    nkeep = int(np.sum(diag >= PIVOT_RTOL * diag[0]))
+    return np.sort(piv[:nkeep]), np.sort(piv[nkeep:])
+
+
+def _stacks():
+    """Random stacks, stacks with rows that are combinations of others up
+    to noise around the pivot cutoff, more rows than columns, and p > 32
+    rows (past dgeqp3's block size)."""
+    rng = np.random.default_rng(0)
+    for p, m in [(1, 5), (3, 3), (8, 20), (20, 200), (40, 30), (45, 120),
+                 (119, 200)]:
+        yield rng.normal(size=(p, m))
+        r = max(1, p // 2)
+        for noise in (1e-8, 1e-10, 1e-11, 1e-13, 0.0):
+            low = rng.normal(size=(p, r)) @ rng.normal(size=(r, m))
+            yield low + noise * rng.normal(size=(p, m))
+
+
+def test_rank_repair_keeps_the_rows_of_scipy_pivoted_qr():
+    """_rank_repair calls dgeqp3 itself and never forms Q; it keeps and
+    drops the rows that scipy.linalg.qr's pivots and R diagonal give."""
+    some_dropped = 0
+    for A in _stacks():
+        kept, dropped = _rank_repair(A)
+        ref_kept, ref_dropped = _qr_rank_repair(A)
+        assert np.array_equal(kept, ref_kept), A.shape
+        assert np.array_equal(dropped, ref_dropped), A.shape
+        some_dropped += dropped.size > 0
+    assert some_dropped >= 10
