@@ -38,9 +38,9 @@ this module does not load it.  The solves and the rank repair's pivoted
 QR call LAPACK directly (dpotrs, dgetrs, dgeqp3 from scipy.linalg.lapack):
 these are the routines cho_solve, lu_solve and qr run, so the bits are
 the same, and a small solve no longer pays for the wrappers' Python
-checks, which cost more than the solve itself at m = 20.  The factor keeps scipy.linalg.cho_factor / lu_factor,
-because the benchmark's tracer counts factorisations by wrapping those
-two functions.
+checks, which cost more than the solve itself at m = 20.  The factor
+keeps scipy.linalg.cho_factor / lu_factor, because the benchmark's
+tracer counts factorisations by wrapping those two functions.
 """
 
 from __future__ import annotations
