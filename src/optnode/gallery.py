@@ -16,12 +16,15 @@ cho_solve runs.  The results are the wrappers' bit for bit, without
 their per-call Python checks, which at these sizes cost more than a
 triangular solve.
 
-The strongly convex and linear equality problems keep one thing across
-solves: the factors of the first Newton step.  Every solve starts at
-u = 0, and their f_yy(x, u) = Q + eps*diag(cosh u) never reads x, so that
-step's Hessian, its Cholesky factor L and, with constraints, L^-1 A' and
-its Gram matrix are the same for every x.  They are computed on the
-problem's first solve, not when it is built.  A factorisation that fails
+At m >= 100 unknowns the shared Newton reuses one step's factors for the
+next while the residual contracts fast (_kkt_newton), and the strongly
+convex and linear equality problems keep one thing across solves: the
+factors of the first Newton step.  Every solve starts at u = 0, and their
+f_yy(x, u) = Q + eps*diag(cosh u) never reads x, so that step's Hessian,
+its Cholesky factor L and, with constraints, L^-1 A' and its Gram matrix
+are the same for every x.  At m >= 100 a solve whose steps all contract
+fast runs on those factors alone.  They are computed on the problem's
+first solve, not when it is built.  A factorisation that fails
 caches nothing, so every later solve raises the same SolverDiverged.  Two
 threads racing through a cold problem at worst compute the same factors
 twice, so the nodes built on these problems stay shareable.  Within one
@@ -39,6 +42,18 @@ from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
                    SolverDiverged, Solution, SolverInfo, checked, finite)
 
 _SOFT_CURVE = 0.1  # weight of the cosh barrier in the convex objectives
+# Chord steps (_kkt_newton).  Near the solution a step on stale factors
+# still contracts linearly, at a rate set by how far H has moved since
+# they were made, so one step that cut max|r| to _CHORD_RATE of its value
+# predicts the next.  0.05, 0.1 and 0.25 ran kkt-chain equally fast within
+# noise; 0.1 factors rarely and keeps the steps few (kkt-chain's bilevel
+# solve: 6.2 steps, 13.6 at 0.25).  Chord solves take about twice Newton's
+# steps, so they pay only where a factorisation costs several steps: per
+# solve of the strongly convex and linear equality problems (x86-64, one
+# BLAS thread) they took 1.3-1.5x Newton's time at m = 10 to 40, broke
+# even between m = 80 and 120, and took 0.6x at m = 200.
+_CHORD_RATE = 0.1
+_CHORD_MIN_DIM = 100
 
 
 def _spd(rng, m):
@@ -182,18 +197,24 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
     u = 0, lam = 0: with r = (f_y - A'lam, A u - b), H = f_yy = LL',
     V = L^-1 A' and w = L^-1 r1, the step solves V'V dlam = r2 - V'w and
     du = L^-T (w + V dlam), and is halved until max|r| falls, to 1e-12
-    within 100 steps.  H not finite or not positive definite raises
+    within 100 steps.  When m >= _CHORD_MIN_DIM, a step taken in full
+    that left max|r| at most _CHORD_RATE times its value hands its
+    factors (L, V, V'V) to the next step, a chord step (Kelley, Iterative
+    Methods for Linear and Nonlinear Equations, sec. 5.4); any other step
+    makes the next one refactor at its own u, and after the first halved
+    step every step refactors, so a solve that needs the line search runs
+    plain Newton from there on.  A smaller m runs plain Newton
+    throughout.  H not finite or not positive definite raises
     SolverDiverged naming label, and so does giving up: "stalled" when 50
     halvings of one step found no decrease, "did not converge in 100
     steps" when every step decreased max|r| but not to 1e-12; both give
-    the residual.  first, when given, returns the factors
-    (L, V, V'V) of the step from u = 0 in place of factoring f_yy(x, 0):
-    a caller whose f_yy(x, 0) does not depend on x passes a cached one,
-    so its later solves each factor one H fewer; a successful solve then
-    makes iterations - 1 factorisations, not iterations.  The sphere keeps
-    its own loop: its Lagrangian Hessian f_yy - lam I is indefinite at
-    most sphere points off the solution (82 % of 28 800 sampled), where a
-    Cholesky fails."""
+    the residual.  first, when given, returns the factors (L, V, V'V) of
+    the step from u = 0 in place of factoring f_yy(x, 0): a caller whose
+    f_yy(x, 0) does not depend on x passes a cached one, so a later solve
+    makes one factorisation fewer, or none when m >= _CHORD_MIN_DIM and
+    every step contracts fast.  The sphere keeps its own loop: its
+    Lagrangian Hessian f_yy - lam I is indefinite at most sphere points
+    off the solution (82 % of 28 800 sampled), where a Cholesky fails."""
     A = np.zeros((0, m)) if A is None else A
     b = np.zeros(0) if b is None else b
     u, lam = np.zeros(m), np.zeros(A.shape[0])
@@ -203,11 +224,14 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
         return r1, r2, float(np.max(np.abs(np.concatenate([r1, r2]))))
 
     r1, r2, res = residual(u, lam)
+    factors, chord = None, m >= _CHORD_MIN_DIM
     for it in range(100):
         if res <= 1e-12:
             return u, lam, it
-        L, V, VtV = (first() if it == 0 and first is not None
-                     else _step_factors(f_yy(x, u), A, label))
+        if factors is None:
+            factors = (first() if it == 0 and first is not None
+                       else _step_factors(f_yy(x, u), A, label))
+        L, V, VtV = factors
         w, dlam = _tri(L, r1), np.zeros(0)
         if V is not None:
             try:
@@ -220,6 +244,9 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
             un, ln = u - t * du, lam - t * dlam
             r1n, r2n, resn = residual(un, ln)
             if resn < res:
+                chord = chord and t == 1.0   # a damped step ends the chords
+                if not (chord and resn <= _CHORD_RATE * res):
+                    factors = None
                 u, lam, r1, r2, res = un, ln, r1n, r2n, resn
                 break
         else:

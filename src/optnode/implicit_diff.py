@@ -78,7 +78,10 @@ class _Factor:
     cond is LAPACK's estimate of the 1-norm condition number, read off the
     factor just computed (dpocon for Cholesky, dgecon for LU), so callers
     can gate before solving without an SVD.  H with a non-finite entry is
-    not factored and gets cond = inf.
+    not factored and gets cond = inf.  The empty H (0, 0), the Gram matrix
+    of an empty constraint stack, is not factored either: it gets cond =
+    1, as LAPACK's own quick return for n = 0 gives, and solves to the
+    empty result (scipy's dpocon and dpotrs wrappers reject n = 0).
     """
 
     def __init__(self, H):
@@ -88,6 +91,9 @@ class _Factor:
         self._lu = None
         if not np.all(np.isfinite(H)):
             self.cond = np.inf
+            return
+        if not H.shape[0]:
+            self.cond = 1.0
             return
         anorm = float(np.linalg.norm(H, 1))
         try:
@@ -108,6 +114,8 @@ class _Factor:
         checks its result with core.finite.  Calls dpotrs / dgetrs, the
         routines cho_solve / lu_solve run, without their wrappers."""
         from scipy.linalg import lapack
+        if not np.shape(rhs)[0]:   # H is (0, 0)
+            return np.zeros(np.shape(rhs))
         if self._cho is not None:
             x, info = lapack.dpotrs(self._cho[0], rhs, lower=1)
         else:

@@ -1,7 +1,9 @@
 """The gallery's range-space KKT Newton: its step against the full block
-solve, its refusal of a Hessian it cannot factor, and its iteration counts
-on the benchmark's problem sizes, and the first-step factors that the
-strongly convex and linear equality problems keep across solves."""
+solve, its refusal of a Hessian it cannot factor, its step and
+factorisation counts on the benchmark's problem sizes, the rule that
+decides when a step reuses the last factors, and the first-step factors
+that the strongly convex and linear equality problems keep across
+solves."""
 
 import re
 import sys
@@ -117,17 +119,38 @@ def test_wide_coupling_solve_keeps_the_bits_of_cho_solve():
         assert solve(x).y.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("make", [
-    lambda s: gallery.strongly_convex_problem(400, 200, s),
-    lambda s: gallery.linear_equality_problem(400, 200, 20, s),
+def _count_dpotrf(monkeypatch):
+    """A list that gains one entry per scipy.linalg.lapack.dpotrf call."""
+    from scipy.linalg import lapack
+    calls, dpotrf = [], lapack.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda s: gallery.strongly_convex_problem(400, 200, s),
+     [(6, 2), (6, 2), (6, 2)]),
+    (lambda s: gallery.linear_equality_problem(400, 200, 20, s),
+     [(11, 1), (11, 1), (6, 2)]),
 ], ids=["strongly-convex", "linear-equality"])
-def test_newton_iterations_per_solve_are_pinned(make):
-    """Both kkt-chain forward solves take 4 Newton steps at these seeds; a
-    change that needs more fails here rather than in benchmark noise."""
-    for seed in range(3):
+def test_newton_iterations_per_solve_are_pinned(make, pinned, monkeypatch):
+    """(Newton steps, Cholesky factorisations) of both kkt-chain forward
+    solves on a fresh problem at these seeds, its first-step factor
+    included: after a full step that cuts max|r| tenfold the next reuses
+    the factors.  A change that factors more, or steps differently, fails
+    here rather than in benchmark noise."""
+    calls = _count_dpotrf(monkeypatch)
+    for seed, expected in enumerate(pinned):
         _, solve = make(seed)
         x = np.random.default_rng(100 + seed).normal(size=400)
-        assert solve(x).solver_info.iterations == 4, seed
+        before = len(calls)
+        steps = solve(x).solver_info.iterations
+        assert (steps, len(calls) - before) == expected, seed
 
 
 SMALL = {
@@ -145,26 +168,93 @@ def _bits(sol):
             sol.solver_info.iterations, sol.objective_value)
 
 
-@pytest.mark.parametrize("name", sorted(SMALL))
-def test_later_solves_reuse_the_first_step_factor(name, monkeypatch):
+@pytest.mark.parametrize("name, pinned", [
+    ("strongly-convex", [(4, 4), (3, 2), (4, 3), (4, 3), (4, 3), (4, 3)]),
+    ("linear-equality", [(3, 3), (3, 2), (4, 3), (4, 3), (4, 3), (3, 2)]),
+], ids=["strongly-convex", "linear-equality"])
+def test_later_solves_reuse_the_first_step_factor(name, pinned, monkeypatch):
     """Every solve starts at u = 0 and f_yy there does not read x, so only
-    a problem's first solve factors the first step's Hessian: it makes
-    `iterations` Cholesky factorisations and each later solve one fewer."""
+    a problem's first solve factors the first step's Hessian.  At m = 5,
+    below gallery._CHORD_MIN_DIM, every other step factors, so a later
+    solve makes one factorisation fewer than it takes steps.  Pinned per
+    solve as (Newton steps, Cholesky factorisations)."""
+    calls = _count_dpotrf(monkeypatch)
+    solve = SMALL[name]()
+    counts = []
+    for x in _inputs():
+        before = len(calls)
+        steps = solve(x).solver_info.iterations
+        counts.append((steps, len(calls) - before))
+    assert counts == pinned
+
+
+def _steps(events):
+    """Per Newton step, (factored, damped) from the event log of one
+    _kkt_newton call: "F" a dpotrf, "S" the step's back substitution (one
+    per step, after its factors) and "r" a residual evaluation (the
+    start's, then one per trial point of the line search)."""
+    segments = "".join(events).split("S")
+    return [("F" in before, after.count("r") > 1)
+            for before, after in zip(segments, segments[1:])]
+
+
+def test_once_a_step_is_damped_every_later_step_factors(monkeypatch):
+    """linear_equality_problem(10, 200, 8, 3) at this x = 100 N(0, 1) takes
+    a chord step, then damped steps: from the first damped step to the end
+    of the solve, plain Newton runs and every step factors its own
+    Hessian."""
     from scipy.linalg import lapack
-    calls = []
-    dpotrf = lapack.dpotrf
+    m = 200
+    problem, _ = gallery.linear_equality_problem(10, m, 8, 3)
+    d = problem.derivatives
+    events, dpotrf, tri = [], lapack.dpotrf, gallery._tri
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        events.append("F")
         return dpotrf(*args, **kwargs)
 
+    def substituted(L, b, trans=0):
+        if trans:
+            events.append("S")
+        return tri(L, b, trans)
+
+    def f_y(x, u):
+        events.append("r")
+        return d.f_y(x, u)
+
     monkeypatch.setattr(lapack, "dpotrf", counted)
-    solve = SMALL[name]()
-    for k, x in enumerate(_inputs()):
+    monkeypatch.setattr(gallery, "_tri", substituted)
+    x = 100 * np.random.default_rng(0).normal(size=(5, 10))[4]
+    A, b = d.h_y(x, None), -problem.eq_constraints(x, np.zeros(m))
+    _, _, iterations = gallery._kkt_newton(f_y, d.f_yy, x, m, A, b)
+    steps = _steps(events)
+    assert len(steps) == iterations
+    first = [damped for _, damped in steps].index(True)
+    assert not all(factored for factored, _ in steps[:first + 1])
+    assert all(factored for factored, _ in steps[first + 1:])
+    assert len(steps) - first >= 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gallery.strongly_convex_problem(10, 200, 3),
+    lambda: gallery.linear_equality_problem(10, 200, 8, 3),
+], ids=["strongly-convex", "linear-equality"])
+def test_a_solve_on_chord_steps_meets_the_residual_tolerance(make,
+                                                              monkeypatch):
+    """Solves that factor fewer times than they step still end at
+    max|r| <= 1e-12, with r recomputed here from f_y and the constraints."""
+    problem, solve = make()
+    d = problem.derivatives
+    calls = _count_dpotrf(monkeypatch)
+    for x in np.random.default_rng(5).normal(size=(4, 10)):
         before = len(calls)
-        iterations = solve(x).solver_info.iterations
-        assert iterations >= 2
-        assert len(calls) - before == iterations - (k > 0), k
+        sol = solve(x)
+        assert len(calls) - before < sol.solver_info.iterations - 1
+        r = d.f_y(x, sol.y)
+        if problem.eq_constraints is not None:
+            r = np.concatenate([r - d.h_y(x, sol.y).T @ sol.multipliers,
+                                problem.eq_constraints(x, sol.y)])
+        assert np.max(np.abs(r)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

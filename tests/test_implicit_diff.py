@@ -111,6 +111,16 @@ def test_recover_multipliers_rank_deficient():
         recover_multipliers(A, np.array([1.0, 2.0]))
 
 
+def test_recover_multipliers_of_an_empty_stack_is_empty(capfd):
+    """No rows, no multipliers: the (0, 0) Gram matrix is not handed to
+    LAPACK, whose condition estimate rejects n = 0 with a printed line."""
+    lam = recover_multipliers(np.zeros((0, 3)), np.ones(3))
+    f = _Factor(np.zeros((0, 0)))
+    assert lam.shape == (0,) and f.cond == 1.0
+    assert f.solve(np.zeros((0, 4))).shape == (0, 4)
+    assert capfd.readouterr() == ("", "")
+
+
 # --- equality path --------------------------------------------------------
 
 def _l2_projection_problem(n):
