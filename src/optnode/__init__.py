@@ -10,11 +10,11 @@ vector-Jacobian products, node composition, and bilevel gradient descent
 """
 
 from .core import (DeclarativeProblem, Derivatives, DimensionMismatch,
-                   ERROR_KINDS, FEAS_TOL, InfeasibleProblem, Jacobian,
-                   NodeError, ProblemDims, RankDeficientConstraints,
-                   SingularHessian, Solution, SolutionResiduals,
-                   SolverDiverged, SolverInfo, STATIONARITY_TOL,
-                   UndefinedGradient, solution_residuals, validate_problem)
+                   ERROR_KINDS, InfeasibleProblem, Jacobian, NodeError,
+                   ProblemDims, RankDeficientConstraints, SingularHessian,
+                   Solution, SolutionResiduals, SolverDiverged, SolverInfo,
+                   STATIONARITY_TOL, UndefinedGradient, solution_residuals,
+                   validate_problem)
 from .numdiff import FdConfig, fd_gradient, fd_hessian_blocks, fd_jacobian
 from .implicit_diff import (AllocationCounter, GRADIENT_PATHS,
                             GradientContext, build_context,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationCounter", "BilevelTask", "DeclarativeNode",
     "DeclarativeProblem", "Derivatives", "DimensionMismatch", "ERROR_KINDS",
-    "FEAS_TOL", "FdConfig", "GRADIENT_PATHS", "GradientContext",
+    "FdConfig", "GRADIENT_PATHS", "GradientContext",
     "ImperativeNode", "InfeasibleProblem", "Jacobian", "Node", "NodeChain",
     "NodeError", "Norm", "Penalty", "PenaltySpec", "PoolingNode",
     "ProblemDims", "ProjectionNode", "ProjectionSpec",

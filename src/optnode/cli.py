@@ -67,7 +67,7 @@ def _jtext(obj):
     raise TypeError(f"unserializable {type(obj)!r}")
 
 
-def _flat(v, sep=";"):
+def _flat(v):
     """One CSV cell: scalars formatted, vectors ';'-joined, matrices with
     '|' between rows."""
     if isinstance(v, (bool, np.bool_)):
@@ -82,7 +82,7 @@ def _flat(v, sep=";"):
         items = list(v)
         if items and isinstance(items[0], (list, tuple, np.ndarray)):
             return "|".join(_flat(row) for row in items)
-        return sep.join(_flat(it) for it in items)
+        return ";".join(_flat(it) for it in items)
     raise TypeError(f"unserializable {type(v)!r}")
 
 

@@ -17,11 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Default absolute tolerances on unit-scale problems.  Tight enough that the
+# Default absolute tolerance on unit-scale problems.  Tight enough that the
 # 1e-5 oracle comparisons downstream are solver-noise-dominated by at most
 # one order of magnitude.
 STATIONARITY_TOL = 1e-8
-FEAS_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,28 @@ first solve, not when it is built.  A factorisation that fails
 caches nothing, so every later solve raises the same SolverDiverged.  Two
 threads racing through a cold problem at worst compute the same factors
 twice, so the nodes built on these problems stay shareable.  Within one
-solve, tanh(Mx) is computed once and shared by every residual and the
-objective value.
+solve of the strongly convex, linear equality or sphere problem, tanh(Mx)
+is computed once and shared by every residual and objective value.
+
+Every problem is assembled by projection._problem from pieces defined
+once: the convex objective (_convex_pieces), the constraint row
+(u'u - 1)/2 (_unit_row), an equality for the sphere, circle and
+alignment problems and an inequality for the disc, and projection's
+nearest-point objective 0.5 ||u - x||^2, which the disc and circle share
+with the projection nodes.  The disc and circle solve with
+projection._l2 where ||x|| overflows or underflows.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 
-from .core import (DeclarativeProblem, Derivatives, InfeasibleProblem,
-                   SolverDiverged, Solution, SolverInfo, checked, finite)
+from .core import (InfeasibleProblem, SolverDiverged, Solution, SolverInfo,
+                   checked, finite)
+from .projection import _NEAREST, _l2, _problem, _row
 
 _SOFT_CURVE = 0.1  # weight of the cosh barrier in the convex objectives
 # Chord steps (_kkt_newton).  Near the solution a step on stale factors
@@ -54,6 +64,10 @@ _SOFT_CURVE = 0.1  # weight of the cosh barrier in the convex objectives
 # even between m = 80 and 120, and took 0.6x at m = 200.
 _CHORD_RATE = 0.1
 _CHORD_MIN_DIM = 100
+# Below this norm the squares that np.linalg.norm sums may have lost digits
+# to underflow (_unit).  Above it their sum is at least 2^-1000, and a
+# square that underflows errs by at most 2^-1075, far below the sum's ulp.
+_TINY_NORM = 2.0 ** -500
 
 
 def _spd(rng, m):
@@ -62,14 +76,13 @@ def _spd(rng, m):
 
 
 def _unit(x, nx):
-    """(||x||, x / ||x||) given nx = np.linalg.norm(x) > 0.  Only when nx
-    overflowed are both taken from x / max|x|, so ordinary inputs keep
-    their bits."""
-    if nx < np.inf:
-        return nx, x / nx
-    s = float(np.max(np.abs(x)))
-    ns = float(np.linalg.norm(x / s))
-    return s * ns, (x / s) / ns
+    """(||x||, x / ||x||) given nx = np.linalg.norm(x), nan at x = 0.
+    Where nx overflowed, or is below 2^-500 so that squaring an entry may
+    have underflowed, both come from projection._l2, which scales x by
+    max|x| first; ordinary inputs keep their bits."""
+    if (nx == np.inf or nx < _TINY_NORM) and x.any():
+        return _l2(x)
+    return nx, x / nx
 
 
 def _solution(y, multipliers, iterations, value, active=()):
@@ -96,32 +109,36 @@ def _finite_io(problem, solve):
     return problem, bounded
 
 
+def _unit_row(family):
+    """The constraint row (u'u - 1)/2 of family "h" (= 0) or "g" (<= 0),
+    with its _y, _x, _yy and _xy callbacks, as the fields of a problem."""
+    return _row(family, lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
+                lambda x, u: u[None, :],
+                lambda x, u, lam: lam[0] * np.eye(u.size))
+
+
 def _convex_pieces(rng, input_dim, output_dim):
     """Shared smooth strongly-convex objective:
 
         f(x, u) = 0.5 u'Qu + eps * sum cosh(u_j) - u' tanh(Mx)
 
     Q is SPD with spectrum bounded away from zero, so the Hessian
-    Q + eps*diag(cosh(u)) is uniformly positive definite.  newton(label,
-    A) returns solve(x, b) -> (u, lam, iterations, f(x, u)): _kkt_newton
-    on this objective subject to A u = b, with the first step's factors
-    cached as the module docstring says.
+    Q + eps*diag(cosh(u)) is uniformly positive definite.  Returns its
+    pieces by name: Q and M; energy(u, t) and gradient(u, t), which are f
+    and f_y given t = tanh(Mx); f_yy; fields, the objective's fields of a
+    problem; and newton(label, A=None, rhs=None), which returns the solve
+    x -> Solution of _kkt_newton on f subject to A u = rhs(x), with the
+    first step's factors cached as the module docstring says.
     """
     Q = _spd(rng, output_dim)
     M = rng.normal(size=(output_dim, input_dim)) / np.sqrt(input_dim)
     e = _SOFT_CURVE
 
-    def energy(u, t):   # f(x, u) given t = tanh(Mx)
+    def energy(u, t):
         return float(0.5 * u @ Q @ u + e * np.sum(np.cosh(u)) - u @ t)
 
     def gradient(u, t):
         return Q @ u + e * np.sinh(u) - t
-
-    def value(x, u):
-        return energy(u, np.tanh(M @ x))
-
-    def f_y(x, u):
-        return gradient(u, np.tanh(M @ x))
 
     def f_yy(x, u):
         return Q + e * np.diag(np.cosh(u))
@@ -131,7 +148,7 @@ def _convex_pieces(rng, input_dim, output_dim):
             t = np.tanh(M @ x)
         return -(1.0 - t * t)[:, None] * M
 
-    def newton(label, A=None):
+    def newton(label, A=None, rhs=None):
         A = np.zeros((0, output_dim)) if A is None else A
 
         @functools.cache
@@ -143,14 +160,19 @@ def _convex_pieces(rng, input_dim, output_dim):
                     a.setflags(write=False)
             return factors
 
-        def solve(x, b=None):
+        def solve(x):
             t = np.tanh(M @ x)
+            b = None if rhs is None else rhs(x)
             u, lam, it = _kkt_newton(lambda _, u: gradient(u, t), f_yy, x,
                                      output_dim, A, b, label, first)
-            return u, lam, it, energy(u, t)
+            return _solution(u, lam, it, energy(u, t))
         return solve
 
-    return Q, M, value, f_y, f_yy, f_xy, newton
+    fields = dict(objective=lambda x, u: energy(u, np.tanh(M @ x)),
+                  f_y=lambda x, u: gradient(u, np.tanh(M @ x)),
+                  f_yy=f_yy, f_xy=f_xy)
+    return types.SimpleNamespace(Q=Q, M=M, energy=energy, gradient=gradient,
+                                 f_yy=f_yy, fields=fields, newton=newton)
 
 
 def _diverged(label, H, A):
@@ -259,19 +281,9 @@ def _kkt_newton(f_y, f_yy, x, m, A=None, b=None, label="", first=None):
 
 def strongly_convex_problem(input_dim, output_dim, seed):
     """Unconstrained smooth problem with a unique minimizer."""
-    rng = np.random.default_rng(seed)
-    _, _, value, f_y, f_yy, f_xy, newton = _convex_pieces(
-        rng, input_dim, output_dim)
-    problem = DeclarativeProblem(
-        objective=value, input_dim=input_dim, output_dim=output_dim,
-        derivatives=Derivatives(f_y=f_y, f_yy=f_yy, f_xy=f_xy))
-    kkt = newton("unconstrained")
-
-    def solve(x):
-        y, _, it, fy = kkt(x)
-        return _solution(y, np.zeros(0), it, fy)
-
-    return _finite_io(problem, solve)
+    c = _convex_pieces(np.random.default_rng(seed), input_dim, output_dim)
+    return _finite_io(_problem(input_dim, output_dim, **c.fields),
+                      c.newton("unconstrained"))
 
 
 def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
@@ -281,8 +293,7 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
     rhs_depends_on_x=False sets P = 0, giving the fixed-target system
     A u = d, whose constraint stack has C = 0."""
     rng = np.random.default_rng(seed)
-    _, _, value, f_y, f_yy, f_xy, newton = _convex_pieces(
-        rng, input_dim, output_dim)
+    c = _convex_pieces(rng, input_dim, output_dim)
     A = rng.normal(size=(n_constraints, output_dim))
     P = rng.normal(size=(n_constraints, input_dim)) / np.sqrt(input_dim)
     if not rhs_depends_on_x:
@@ -290,87 +301,68 @@ def linear_equality_problem(input_dim, output_dim, n_constraints, seed,
     d = rng.normal(size=n_constraints) * 0.1
     zero = np.zeros((output_dim, output_dim + input_dim))   # h is linear
 
-    derivs = Derivatives(
-        f_y=f_y, f_yy=f_yy, f_xy=f_xy,
+    problem = _problem(
+        input_dim, output_dim, **c.fields,
+        eq_constraints=lambda x, u: A @ u - (P @ x + d),
         h_y=lambda x, u: A,
         h_x=lambda x, u: -P,
         h_yy=lambda x, u, lam: zero[:, :output_dim],
         h_xy=lambda x, u, lam: zero[:, output_dim:])
-    problem = DeclarativeProblem(
-        objective=value, input_dim=input_dim, output_dim=output_dim,
-        eq_constraints=lambda x, u: A @ u - (P @ x + d),
-        derivatives=derivs)
-
-    kkt = newton("equality", A)
-
-    def solve(x):
-        u, lam, it, fu = kkt(x, P @ x + d)
-        return _solution(u, lam, it, fu)
-
-    return _finite_io(problem, solve)
+    return _finite_io(problem,
+                      c.newton("equality", A, lambda x: P @ x + d))
 
 
 def sphere_equality_problem(input_dim, output_dim, seed):
     """Convex objective restricted to the unit sphere h = (u'u - 1)/2."""
-    rng = np.random.default_rng(seed)
-    Q, M, value, f_y, f_yy, f_xy, _ = _convex_pieces(rng, input_dim,
-                                                     output_dim)
+    c = _convex_pieces(np.random.default_rng(seed), input_dim, output_dim)
+    energy, gradient, f_yy = c.energy, c.gradient, c.f_yy
     m = output_dim
 
-    derivs = Derivatives(
-        f_y=f_y, f_yy=f_yy, f_xy=f_xy,
-        h_y=lambda x, u: u[None, :],
-        h_x=lambda x, u: np.zeros((1, input_dim)),
-        h_yy=lambda x, u, lam: lam[0] * np.eye(m),
-        h_xy=lambda x, u, lam: np.zeros((m, input_dim)))
-    problem = DeclarativeProblem(
-        objective=value, input_dim=input_dim, output_dim=output_dim,
-        eq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
-        derivatives=derivs)
-
     def solve(x):
+        t = np.tanh(c.M @ x)
         # deterministic smooth start: normalized unconstrained direction
-        w = np.linalg.solve(Q, np.tanh(M @ x))
+        w = np.linalg.solve(c.Q, t)
         nw = float(np.linalg.norm(w))
         u = w / nw if nw > 1e-8 else np.eye(m)[0]
         # iterates stay retracted onto the sphere, with lam the
         # least-squares multiplier u'f_y; keeps cosh(u) bounded no matter
         # how hard a raw Newton step overshoots
         def tangential(u):
-            lam = float(u @ f_y(x, u))
-            r1 = f_y(x, u) - lam * u
+            g = gradient(u, t)
+            lam = float(u @ g)
+            r1 = g - lam * u
             return lam, r1, float(np.max(np.abs(r1)))
 
         # descent phase: projected gradient with Armijo on f, pulling the
         # start into a basin where the Newton tail contracts
-        fu = value(x, u)
+        fu = energy(u, t)
         lam, r1, res = tangential(u)
         it = 0
         while res > 1e-6 and it < 500:
-            t, stepped = 1.0, False
-            while t > 1e-16:
-                un = u - t * r1
+            s, stepped = 1.0, False
+            while s > 1e-16:
+                un = u - s * r1
                 un = un / float(np.linalg.norm(un))
-                fn = value(x, un)
-                if fn < fu - 1e-4 * t * float(r1 @ r1):
+                fn = energy(un, t)
+                if fn < fu - 1e-4 * s * float(r1 @ r1):
                     u, fu, stepped = un, fn, True
                     break
-                t *= 0.5
+                s *= 0.5
             if not stepped:
                 break
             lam, r1, res = tangential(u)
             it += 1
         for it in range(it, it + 200):
             if res <= 1e-12:
-                return _solution(u, [lam], it, value(x, u))
+                return _solution(u, [lam], it, energy(u, t))
             K = np.zeros((m + 1, m + 1))
             K[:m, :m] = f_yy(x, u) - lam * np.eye(m)
             K[:m, m] = -u
             K[m, :m] = u
             step = np.linalg.solve(K, np.concatenate([r1, [0.0]]))
-            t = 1.0
+            s = 1.0
             for _ in range(50):
-                un = u - t * step[:m]
+                un = u - s * step[:m]
                 nn = float(np.linalg.norm(un))
                 if nn > 1e-12:
                     un = un / nn
@@ -378,11 +370,12 @@ def sphere_equality_problem(input_dim, output_dim, seed):
                     if resn < res:
                         u, lam, r1, res = un, ln, r1n, resn
                         break
-                t *= 0.5
+                s *= 0.5
             else:
                 break
         raise SolverDiverged(f"sphere KKT newton stalled at residual {res:.3e}")
 
+    problem = _problem(input_dim, output_dim, **c.fields, **_unit_row("h"))
     return _finite_io(problem, solve)
 
 
@@ -390,22 +383,6 @@ def disc_inequality_problem(dim):
     """Projection of x onto the unit disc: f = 0.5||u - x||^2 with the
     single constraint g = (u'u - 1)/2 <= 0.  Closed-form solution; the
     input norm selects the inactive / active / just-touching regimes."""
-    n = dim
-
-    derivs = Derivatives(
-        f_y=lambda x, u: u - x,
-        f_yy=lambda x, u: np.eye(n),
-        f_xy=lambda x, u: -np.eye(n),
-        g_y=lambda x, u: u[None, :],
-        g_x=lambda x, u: np.zeros((1, n)),
-        g_yy=lambda x, u, lam: lam[0] * np.eye(n),
-        g_xy=lambda x, u, lam: np.zeros((n, n)))
-    problem = DeclarativeProblem(
-        objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
-        input_dim=n, output_dim=n,
-        ineq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
-        derivatives=derivs)
-
     def solve(x):
         nx = float(np.linalg.norm(x))
         if nx <= 1.0:
@@ -414,35 +391,20 @@ def disc_inequality_problem(dim):
             nx, y = _unit(x, nx)
             lam = 1.0 - nx
         active = 0.5 * (y @ y - 1.0) >= -1e-8
-        return _solution(y, [lam], 0, 0.5 * float(np.sum((y - x) ** 2)),
-                         [active])
+        return _solution(y, [lam], 0, _NEAREST["objective"](x, y), [active])
 
-    return _finite_io(problem, solve)
+    return _finite_io(_problem(dim, dim, **_NEAREST, **_unit_row("g")),
+                      solve)
 
 
 def circle_equality_problem(dim):
     """Equality twin of the disc problem: same objective, h = (u'u - 1)/2."""
-    n = dim
-
-    derivs = Derivatives(
-        f_y=lambda x, u: u - x,
-        f_yy=lambda x, u: np.eye(n),
-        f_xy=lambda x, u: -np.eye(n),
-        h_y=lambda x, u: u[None, :],
-        h_x=lambda x, u: np.zeros((1, n)),
-        h_yy=lambda x, u, lam: lam[0] * np.eye(n),
-        h_xy=lambda x, u, lam: np.zeros((n, n)))
-    problem = DeclarativeProblem(
-        objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
-        input_dim=n, output_dim=n,
-        eq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
-        derivatives=derivs)
-
     def solve(x):
         nx, y = _unit(x, float(np.linalg.norm(x)))
-        return _solution(y, [1.0 - nx], 0, 0.5 * float(np.sum((y - x) ** 2)))
+        return _solution(y, [1.0 - nx], 0, _NEAREST["objective"](x, y))
 
-    return _finite_io(problem, solve)
+    return _finite_io(_problem(dim, dim, **_NEAREST, **_unit_row("h")),
+                      solve)
 
 
 def spherical_alignment_problem(dim):
@@ -469,17 +431,9 @@ def spherical_alignment_problem(dim):
         nu = float(np.linalg.norm(u))
         return -np.eye(n) / nu + np.outer(u, u) / nu ** 3
 
-    derivs = Derivatives(
-        f_y=f_y, f_yy=f_yy, f_xy=f_xy,
-        h_y=lambda x, u: u[None, :],
-        h_x=lambda x, u: np.zeros((1, n)),
-        h_yy=lambda x, u, lam: lam[0] * np.eye(n),
-        h_xy=lambda x, u, lam: np.zeros((n, n)))
-    problem = DeclarativeProblem(
-        objective=lambda x, u: float(-(x @ u) / np.linalg.norm(u)),
-        input_dim=n, output_dim=n,
-        eq_constraints=lambda x, u: np.array([0.5 * (u @ u - 1.0)]),
-        derivatives=derivs)
+    problem = _problem(
+        n, n, lambda x, u: float(-(x @ u) / np.linalg.norm(u)),
+        f_y=f_y, f_yy=f_yy, f_xy=f_xy, **_unit_row("h"))
 
     def solve(x):
         nx, y = _unit(x, float(np.linalg.norm(x)))
@@ -495,15 +449,13 @@ def two_branch_problem(branch="plus"):
     on each branch even though h_y vanishes where the branches cross."""
     sign = 1.0 if branch == "plus" else -1.0
 
-    derivs = Derivatives(
+    problem = _problem(
+        1, 1, None,
+        eq_constraints=lambda x, u: np.array([(u[0] - 1.0) ** 2 - x[0] ** 2]),
         h_y=lambda x, u: np.array([[2.0 * (float(u[0]) - 1.0)]]),
         h_x=lambda x, u: np.array([[-2.0 * float(x[0])]]),
         h_yy=lambda x, u, lam: np.array([[2.0 * lam[0]]]),
         h_xy=lambda x, u, lam: np.zeros((1, 1)))
-    problem = DeclarativeProblem(
-        objective=None, input_dim=1, output_dim=1,
-        eq_constraints=lambda x, u: np.array([(u[0] - 1.0) ** 2 - x[0] ** 2]),
-        derivatives=derivs)
 
     def solve(x):
         return _solution([1.0 + sign * x[0]], [0.0], 0, 0.0)
@@ -528,13 +480,11 @@ def wide_coupling_problem(output_dim, input_dim, seed):
     if info:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
 
-    derivs = Derivatives(
+    problem = _problem(
+        n, m, lambda x, u: float(0.5 * u @ Q @ u - u @ (W @ x)),
         f_y=lambda x, u: Q @ u - W @ x,
         f_yy=lambda x, u: Q,
         b_columns=lambda x, u, cols: -W[:, cols])
-    problem = DeclarativeProblem(
-        objective=lambda x, u: float(0.5 * u @ Q @ u - u @ (W @ x)),
-        input_dim=n, output_dim=m, derivatives=derivs)
 
     def solve(x):
         Wx = W @ x   # an overflowing W x gives a non-finite y

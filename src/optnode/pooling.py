@@ -103,13 +103,13 @@ def _sums(spec, u, x):
     return _kernels.penalty_sums(spec.code, spec.alpha, float(u), x)
 
 
-# The solvers below are row programs: generators that keep the scalar
-# control logic of one row, yield each point u at which they need
-# (f, f', f''), are sent those sums back, and return their result.
-# _lockstep runs one program per row side by side and makes one kernel
-# pass over the stack per step.
+# _local_descent is a row program: a generator that keeps the scalar
+# control logic of one lane (a row, or one start of a non-convex row),
+# yields each point u at which it needs (f, f', f''), is sent those sums
+# back, and returns its result.  _lockstep runs one program per lane side
+# by side and makes one kernel pass over the stack per step.
 
-def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
+def _local_descent(spec, n, u0, lo, hi, tol):
     """Newton with a majorise-minimise (MM) safeguard from u0, in [lo, hi],
     over n points: the search for every non-quadratic penalty.
 
@@ -121,13 +121,19 @@ def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
     Welsch; for the truncated quadratic M = f'', so Newton is the MM step.
     The MM step never raises f, and it keeps doubling while f falls.  No
     step goes uphill, so the search never jumps basins uphill.  Started
-    inside the data, its cost does not grow with the data's scale.  Returns
-    (u, iterations, (f, f', f'') at u).
+    inside the data, its cost does not grow with the data's scale.
+
+    Where the search stops, at most 8 undamped Newton steps on f' polish
+    u.  Quadratic convergence drives the root to machine precision in a
+    few steps, so candidates that landed in the same basin become
+    bit-identical and the multi-start tie break cannot wobble between
+    them.  Each step is kept only if it shrinks |f'|.  Returns (u,
+    (f, f', f'') at u, iterations of the search).
     """
     u = min(max(float(u0), lo), hi)
     sums = yield u
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         f, d1, d2 = sums
         if abs(d1) <= tol:
             break
@@ -161,24 +167,7 @@ def _local_descent(spec, n, u0, lo, hi, tol, max_iters):
                 break
             un, sn = uc, sc
         u, sums = un, sn
-    return u, it, sums
-
-
-def _concave_fall(sums, sn):
-    """Both points concave with f' of one sign: f fell between them along
-    the descent direction, even where the fall is below its rounding."""
-    return sums[2] <= 0.0 and sn[2] <= 0.0 and sums[1] * sn[1] > 0.0
-
-
-def _polish(u, sums, lo, hi):
-    """Undamped Newton on f' from an already-converged u with sums at u.
-
-    Quadratic convergence drives the root to machine precision in a few
-    steps, so candidates that landed in the same basin become bit-identical
-    and the multi-start tie break cannot wobble between them.  Each step is
-    kept only if it shrinks |f'|.  Returns (u, (f, f', f'') at u).
-    """
-    for _ in range(8):
+    for _ in range(8):                 # the polish
         _, d1, d2 = sums
         if d1 == 0.0 or not d2 > 0.0:
             break
@@ -189,15 +178,13 @@ def _polish(u, sums, lo, hi):
         if abs(sn[1]) >= abs(d1):
             break
         u, sums = un, sn
-    return u, sums
+    return u, sums, it
 
 
-def _polished(search, lo, hi):
-    """The search, then _polish from where it stopped: (y, sums,
-    iterations of the search)."""
-    u, iters, sums = yield from search
-    y, sums = yield from _polish(u, sums, lo, hi)
-    return y, sums, iters
+def _concave_fall(sums, sn):
+    """Both points concave with f' of one sign: f fell between them along
+    the descent direction, even where the fall is below its rounding."""
+    return sums[2] <= 0.0 and sn[2] <= 0.0 and sums[1] * sn[1] > 0.0
 
 
 def _lockstep(spec, X, programs):
@@ -224,7 +211,7 @@ def _lockstep(spec, X, programs):
     return out
 
 
-def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
+def robust_pool(x, spec, tol=1e-10):
     """Solve the pooling problem for a vector x of shape (n,) or for each
     row of a stack x of shape (B, n).  Returns one Solution with y of shape
     (B,), B = 1 for a vector.
@@ -282,8 +269,7 @@ def robust_pool(x, spec, tol=1e-10, max_iters=MAX_ITERS):
                                big).tolist() + starts
             X, restarts = np.concatenate([X, X]), 1
         rows = _lockstep(spec, X, [
-            _polished(_local_descent(spec, n, u0, lo[k % B], hi[k % B], tol,
-                                     max_iters), lo[k % B], hi[k % B])
+            _local_descent(spec, n, u0, lo[k % B], hi[k % B], tol)
             for k, u0 in enumerate(starts)])
         if restarts:
             rows = [_lower(a, b) for a, b in zip(rows[:B], rows[B:])]

@@ -276,6 +276,32 @@ def project_vjp(v, x, spec, y):
     return finite("v^T Dy", out), one_sided
 
 
+# The nearest-point objective 0.5 ||u - x||^2 that every projection
+# minimises, as the fields of a problem (_problem).
+_NEAREST = dict(objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
+                f_y=lambda x, u: u - x,
+                f_yy=lambda x, u: np.eye(u.size),
+                f_xy=lambda x, u: -np.eye(u.size))
+
+
+def _problem(n, m, objective, eq_constraints=None, ineq_constraints=None,
+             **derivatives):
+    """The DeclarativeProblem over x of length n and u of length m with
+    these callbacks, each Derivatives callback passed by its field name."""
+    return DeclarativeProblem(objective, n, m, eq_constraints,
+                              ineq_constraints, Derivatives(**derivatives))
+
+
+def _row(family, value, c_y, c_yy):
+    """One constraint row that does not read x, of family "h" (value = 0)
+    or "g" (value <= 0), as the fields of a problem (_problem): value, its
+    _y and _yy callbacks c_y and c_yy, and zero _x and _xy callbacks."""
+    return {"eq_constraints" if family == "h" else "ineq_constraints": value,
+            f"{family}_y": c_y, f"{family}_yy": c_yy,
+            f"{family}_x": lambda x, u: np.zeros((1, x.size)),
+            f"{family}_xy": lambda x, u, lam: np.zeros((u.size, x.size))}
+
+
 def as_problem(spec, n):
     """The projection node as a DeclarativeProblem with analytic callbacks,
     for cross-checking against the generic engine (one equality row, or one
@@ -304,25 +330,5 @@ def as_problem(spec, n):
             return lam[0] * (np.eye(n) - np.outer(uh, uh)) / nu
         return np.zeros((n, n))
 
-    def c_x(x, u):
-        return np.zeros((1, n))
-
-    def c_xy(x, u, lam):
-        return np.zeros((n, n))
-
-    common = dict(
-        f_y=lambda x, u: u - x,
-        f_yy=lambda x, u: np.eye(n),
-        f_xy=lambda x, u: -np.eye(n),
-    )
-    if spec.surface is Surface.SPHERE:
-        derivs = Derivatives(h_y=c_y, h_x=c_x, h_yy=c_yy, h_xy=c_xy, **common)
-        return DeclarativeProblem(
-            objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
-            input_dim=n, output_dim=n, eq_constraints=constraint,
-            derivatives=derivs)
-    derivs = Derivatives(g_y=c_y, g_x=c_x, g_yy=c_yy, g_xy=c_xy, **common)
-    return DeclarativeProblem(
-        objective=lambda x, u: 0.5 * float(np.sum((u - x) ** 2)),
-        input_dim=n, output_dim=n, ineq_constraints=constraint,
-        derivatives=derivs)
+    family = "h" if spec.surface is Surface.SPHERE else "g"
+    return _problem(n, n, **_NEAREST, **_row(family, constraint, c_y, c_yy))

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark: every workload that BENCHMARK.json names
 runs one full rotation of its ops and passes its own output checks, so a
 package change that breaks the benchmark fails here first, and kkt-chain's
-gallery factorisations per op kind are pinned.  The tests write nothing
+gallery factorisations, engine factorisations, node VJPs and numeric
+second-derivative callbacks per op are pinned.  The tests write nothing
 under perfbench/."""
 
 import importlib.util
@@ -64,3 +65,56 @@ def test_kkt_chain_gallery_factorisations_per_op_kind_are_pinned(monkeypatch):
         kind[0] = None
         assert wl.check(i, out) is None, wl.kind(i)
     assert counts == {"chain": 1, "bilevel": 3, "stream": 0, "hessian": 7}
+
+
+def test_kkt_chain_engine_counts_per_op_are_pinned(monkeypatch):
+    """Per kkt-chain op at seed 0, over two rotations: the engine's
+    factorisations (scipy.linalg.cho_factor and lu_factor called from
+    optnode.implicit_diff), the node vjp calls, and the callbacks made
+    inside numdiff.second_blocks, which the numeric-Hessian op makes 2(m +
+    n) = 60 of at (n, m) = (10, 20).  Only run() is counted.  A change
+    that factors, differentiates or calls back more fails here rather than
+    in benchmark noise."""
+    import scipy.linalg
+    from optnode import compose, numdiff
+    workloads = _workloads()
+    wl = workloads.KktChain(0)
+    wl.build(workloads.Identity())
+    counts = {"factor": 0, "vjp": 0, "callback": 0}
+
+    def factor_counted(fn):
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == \
+                    "optnode.implicit_diff":
+                counts["factor"] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def vjp_counted(fn):
+        def counted(*args, **kwargs):
+            counts["vjp"] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def second_blocks(rows_fn, *args, **kwargs):
+        def counted(*a):
+            counts["callback"] += 1
+            return rows_fn(*a)
+        return blocks(counted, *args, **kwargs)
+
+    for attr in ("cho_factor", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, attr,
+                            factor_counted(getattr(scipy.linalg, attr)))
+    for cls in (compose.Node, compose.DeclarativeNode, compose.PoolingNode,
+                compose.ProjectionNode):
+        monkeypatch.setattr(cls, "vjp", vjp_counted(cls.__dict__["vjp"]))
+    blocks = numdiff.second_blocks
+    monkeypatch.setattr(numdiff, "second_blocks", second_blocks)
+    per_op = {}
+    for i in range(2 * len(wl.kinds)):
+        counts.update(dict.fromkeys(counts, 0))
+        out = wl.run(i)
+        per_op.setdefault(wl.kind(i), set()).add(tuple(counts.values()))
+        assert wl.check(i, out) is None, wl.kind(i)
+    assert per_op == {"chain": {(2, 3, 0)}, "bilevel": {(1, 1, 0)},
+                      "stream": {(1, 0, 0)}, "hessian": {(2, 0, 60)}}

@@ -184,6 +184,27 @@ def test_gallery_sphere_solves_survive_norm_overflow(name):
     assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["circle_equality", "spherical_alignment"])
+def test_gallery_sphere_solves_stay_on_the_sphere_when_squares_underflow(
+        name):
+    """The square of 3e-170 underflows, so np.linalg.norm(x) is 1.0000056
+    times ||x||: y is still the unit direction of x, on the sphere."""
+    _, solve = GALLERY[name]()
+    y = solve(np.array([1e-160, 3e-170, 0.0])).y
+    np.testing.assert_allclose(y, [1.0, 3e-10, 0.0], rtol=1e-15, atol=0.0)
+    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["circle_equality", "spherical_alignment"])
+def test_gallery_sphere_solves_survive_a_norm_that_underflows_to_zero(name):
+    """Every square underflows and np.linalg.norm(x) is 0, yet x / ||x||
+    is defined: y is the unit direction of x, not SolverDiverged."""
+    _, solve = GALLERY[name]()
+    y = solve(np.full(3, 1e-200)).y
+    np.testing.assert_allclose(y, np.full(3, 1.0 / np.sqrt(3.0)),
+                               rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("make, x", [
     (gallery.disc_inequality_problem, [1e308, 1e308, 0.0]),
     (gallery.circle_equality_problem, [1e308, 1e308, 0.0]),
